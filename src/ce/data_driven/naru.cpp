@@ -95,6 +95,7 @@ void NaruTableModel::Fit(const storage::Table& table, const Options& options,
   for (size_t m = 1; m < modeled_cols_.size(); ++m) {
     nn::Mlp* net = conditionals_[m - 1].get();
     nn::Adam adam(options.learning_rate);
+    nn::MlpTape tape;
     for (int epoch = 0; epoch < options.epochs; ++epoch) {
       int64_t epoch_start = train_log ? telemetry::MonotonicNanos() : 0;
       double epoch_ce = 0;  // summed -log p[label]; log-only, read-only
@@ -114,7 +115,7 @@ void NaruTableModel::Fit(const storage::Table& table, const Options& options,
           }
           labels[i] = row[m];
         }
-        nn::Matrix logits = net->Forward(x);
+        nn::Matrix logits = net->Forward(x, &tape);
         // Softmax CE gradient: p - onehot, averaged over the batch.
         nn::Matrix grad(b, logits.cols());
         for (int i = 0; i < b; ++i) {
@@ -131,7 +132,7 @@ void NaruTableModel::Fit(const storage::Table& table, const Options& options,
                             static_cast<float>(b);
           }
         }
-        net->Backward(grad);
+        net->Backward(x, tape, grad, /*dx=*/nullptr);
         adam.Step(net->Params());
       }
       if (train_log) {
@@ -161,9 +162,7 @@ std::vector<float> NaruTableModel::Conditional(
   }
   nn::Matrix x(1, prefix_offset_[i]);
   for (int p = 0; p < i; ++p) x.At(0, prefix_offset_[p] + prefix[p]) = 1.0f;
-  // NOTE: Mlp caches for backward; inference-only use is safe.
-  std::vector<float> logits =
-      const_cast<nn::Mlp*>(conditionals_[i - 1].get())->Forward(x).RowVector(0);
+  std::vector<float> logits = conditionals_[i - 1]->Forward(x).RowVector(0);
   SoftmaxInPlace(&logits);
   return logits;
 }

@@ -1,61 +1,48 @@
 #include "src/ce/query_driven/flat_models.h"
 
+#include <algorithm>
+
 #include "src/util/telemetry/stage_timer.h"
 
 namespace lce {
 namespace ce {
 
-namespace {
+struct FlatEstimator::FlatWorkspace : Workspace {
+  nn::Matrix x;  // one encoded query per row
+  nn::MlpTape tape;
+};
 
-// Shared batched pass of the flat family: encode every query, stack the
-// encodings into one N x d matrix, and run a single multi-row forward —
-// each MatMulBiasAct computes all N rows in one kernel call instead of N
-// GEMVs. Row values are bit-identical to per-query forwards (matrix.h).
-void FlatForwardBatch(const query::QueryEncoder& encoder,
-                      query::FlatVariant variant, nn::Mlp* net,
-                      const std::vector<query::Query>& queries,
-                      std::vector<float>* out) {
-  telemetry::StageTimer::Mark("encode");
-  std::vector<std::vector<float>> rows;
-  rows.reserve(queries.size());
-  for (const query::Query& q : queries) {
-    rows.push_back(encoder.FlatEncode(q, variant));
-  }
-  nn::Matrix x = nn::Matrix::Stack(rows);
-  telemetry::StageTimer::Mark("forward");
-  nn::Matrix y = net->Forward(x);
-  out->resize(queries.size());
-  for (int i = 0; i < y.rows(); ++i) (*out)[i] = y.At(i, 0);
+std::unique_ptr<NeuralQueryDrivenEstimator::Workspace>
+FlatEstimator::NewWorkspace() const {
+  return std::make_unique<FlatWorkspace>();
 }
 
-}  // namespace
+nn::Matrix FlatEstimator::Forward(QueryBatch queries, Workspace* ws) const {
+  telemetry::StageTimer::Mark("encode");
+  nn::Matrix x(static_cast<int>(queries.size()),
+               encoder().flat_dim_for(options_.flat_variant));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    std::vector<float> row = encoder().FlatEncode(*queries[i],
+                                                  options_.flat_variant);
+    std::copy(row.begin(), row.end(), x.RowPtr(static_cast<int>(i)));
+  }
+  telemetry::StageTimer::Mark("forward");
+  if (ws == nullptr) return net_->Forward(x);
+  auto* w = static_cast<FlatWorkspace*>(ws);
+  w->x = std::move(x);
+  return net_->Forward(w->x, &w->tape);
+}
+
+void FlatEstimator::Backward(const nn::Matrix& dpred, Workspace* ws) {
+  auto* w = static_cast<FlatWorkspace*>(ws);
+  net_->Backward(w->x, w->tape, dpred, /*dx=*/nullptr);
+}
 
 void LinearEstimator::InitModel(Rng* rng) {
   int in = encoder().flat_dim_for(options_.flat_variant);
   net_ = std::make_unique<nn::Mlp>(std::vector<int>{in, 1},
                                    nn::Activation::kIdentity,
                                    nn::Activation::kSigmoid, rng);
-}
-
-float LinearEstimator::ForwardOne(const query::Query& q) {
-  telemetry::StageTimer::Mark("encode");
-  // Kept in a member so FillEncodingDiagnostics reuses it (no second encode
-  // per logged query); move-assignment recycles the buffer across calls.
-  last_flat_ = encoder().FlatEncode(q, options_.flat_variant);
-  nn::Matrix x = nn::Matrix::Row(last_flat_);
-  telemetry::StageTimer::Mark("forward");
-  return net_->Forward(x).Scalar();
-}
-
-void LinearEstimator::ForwardBatch(const std::vector<query::Query>& queries,
-                                   std::vector<float>* out) {
-  FlatForwardBatch(encoder(), options_.flat_variant, net_.get(), queries, out);
-}
-
-void LinearEstimator::BackwardOne(float dpred) {
-  nn::Matrix g(1, 1);
-  g.At(0, 0) = dpred;
-  net_->Backward(g);
 }
 
 void FcnEstimator::InitModel(Rng* rng) {
@@ -67,25 +54,6 @@ void FcnEstimator::InitModel(Rng* rng) {
   dims.push_back(1);
   net_ = std::make_unique<nn::Mlp>(dims, nn::Activation::kRelu,
                                    nn::Activation::kSigmoid, rng);
-}
-
-float FcnEstimator::ForwardOne(const query::Query& q) {
-  telemetry::StageTimer::Mark("encode");
-  last_flat_ = encoder().FlatEncode(q, options_.flat_variant);
-  nn::Matrix x = nn::Matrix::Row(last_flat_);
-  telemetry::StageTimer::Mark("forward");
-  return net_->Forward(x).Scalar();
-}
-
-void FcnEstimator::ForwardBatch(const std::vector<query::Query>& queries,
-                                std::vector<float>* out) {
-  FlatForwardBatch(encoder(), options_.flat_variant, net_.get(), queries, out);
-}
-
-void FcnEstimator::BackwardOne(float dpred) {
-  nn::Matrix g(1, 1);
-  g.At(0, 0) = dpred;
-  net_->Backward(g);
 }
 
 }  // namespace ce

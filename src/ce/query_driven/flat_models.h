@@ -13,56 +13,47 @@
 namespace lce {
 namespace ce {
 
+/// An MLP over the flat encoding, one stacked row per query. Subclasses
+/// choose the network shape.
+class FlatEstimator : public NeuralQueryDrivenEstimator {
+ public:
+  using NeuralQueryDrivenEstimator::NeuralQueryDrivenEstimator;
+
+ protected:
+  std::unique_ptr<Workspace> NewWorkspace() const override;
+  nn::Matrix Forward(QueryBatch queries, Workspace* ws) const override;
+  void Backward(const nn::Matrix& dpred, Workspace* ws) override;
+  std::vector<nn::Param*> Params() override { return net_->Params(); }
+  size_t NumParams() const override { return net_ ? net_->NumParams() : 0; }
+
+  std::unique_ptr<nn::Mlp> net_;
+
+ private:
+  struct FlatWorkspace;
+};
+
 /// Single sigmoid unit over the flat encoding: the study's minimal-capacity
 /// reference point (robust, weak fit).
-class LinearEstimator : public NeuralQueryDrivenEstimator {
+class LinearEstimator : public FlatEstimator {
  public:
   explicit LinearEstimator(NeuralOptions options = {})
-      : NeuralQueryDrivenEstimator(options) {}
+      : FlatEstimator(options) {}
   std::string Name() const override { return "Linear"; }
 
  protected:
   void InitModel(Rng* rng) override;
-  float ForwardOne(const query::Query& q) override;
-  void ForwardBatch(const std::vector<query::Query>& queries,
-                    std::vector<float>* out) override;
-  void BackwardOne(float dpred) override;
-  std::vector<nn::Param*> Params() override { return net_->Params(); }
-  size_t NumParams() const override { return net_ ? net_->NumParams() : 0; }
-  void FillEncodingDiagnostics(const query::Query& /*q*/,
-                               ExplainRecord* rec) override {
-    AddFeatureStats(last_flat_, rec);  // ForwardOne just produced it
-  }
-
- private:
-  std::unique_ptr<nn::Mlp> net_;
-  std::vector<float> last_flat_;  // encoding of the last ForwardOne query
 };
 
 /// Fully-connected network over the flat encoding (Dutt et al.'s LW-NN /
 /// the study's FCN). The flat_variant option feeds the encoding ablation.
-class FcnEstimator : public NeuralQueryDrivenEstimator {
+class FcnEstimator : public FlatEstimator {
  public:
   explicit FcnEstimator(NeuralOptions options = {})
-      : NeuralQueryDrivenEstimator(options) {}
+      : FlatEstimator(options) {}
   std::string Name() const override { return "FCN"; }
 
  protected:
   void InitModel(Rng* rng) override;
-  float ForwardOne(const query::Query& q) override;
-  void ForwardBatch(const std::vector<query::Query>& queries,
-                    std::vector<float>* out) override;
-  void BackwardOne(float dpred) override;
-  std::vector<nn::Param*> Params() override { return net_->Params(); }
-  size_t NumParams() const override { return net_ ? net_->NumParams() : 0; }
-  void FillEncodingDiagnostics(const query::Query& /*q*/,
-                               ExplainRecord* rec) override {
-    AddFeatureStats(last_flat_, rec);  // ForwardOne just produced it
-  }
-
- private:
-  std::unique_ptr<nn::Mlp> net_;
-  std::vector<float> last_flat_;  // encoding of the last ForwardOne query
 };
 
 }  // namespace ce

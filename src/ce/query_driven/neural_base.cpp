@@ -35,6 +35,20 @@ void RecordEpochTelemetry(int epoch, double loss, telemetry::TraceSpan* span) {
   span->AddArg("loss", loss);
 }
 
+// Featurization stats of the query's flat encoding (feat_dim /
+// feat_nonzeros / feat_l2) for EstimateWithDiagnostics.
+void AddFeatureStats(const std::vector<float>& feat, ExplainRecord* rec) {
+  double l2 = 0;
+  int nonzeros = 0;
+  for (float f : feat) {
+    l2 += static_cast<double>(f) * f;
+    if (f != 0.0f) ++nonzeros;
+  }
+  rec->AddCounter("feat_dim", static_cast<double>(feat.size()));
+  rec->AddCounter("feat_nonzeros", static_cast<double>(nonzeros));
+  rec->AddCounter("feat_l2", std::sqrt(l2));
+}
+
 }  // namespace
 
 Status NeuralQueryDrivenEstimator::Prepare(const storage::Database& db) {
@@ -67,24 +81,54 @@ Status NeuralQueryDrivenEstimator::LoadModel(std::istream* is) {
   return Status::OK();
 }
 
+Status NeuralQueryDrivenEstimator::ValidateTrainingOptions() const {
+  if (options_.batch_size < 1) {
+    return Status::InvalidArgument(
+        Name() + ": batch_size must be >= 1, got " +
+        std::to_string(options_.batch_size));
+  }
+  return Status::OK();
+}
+
 Status NeuralQueryDrivenEstimator::Build(
     const storage::Database& db,
     const std::vector<query::LabeledQuery>& training) {
+  Status valid = ValidateTrainingOptions();
+  if (!valid.ok()) return valid;
   if (training.empty()) {
     return Status::InvalidArgument(Name() + " needs training queries");
   }
   Status prepared = Prepare(db);
   if (!prepared.ok()) return prepared;
   epoch_losses_.clear();
+  Train(training, options_.epochs, /*update=*/false);
+  train_examples_ = static_cast<int64_t>(training.size());
+  built_ = true;
+  return Status::OK();
+}
 
-  std::vector<int> order(training.size());
+Status NeuralQueryDrivenEstimator::UpdateWithQueries(
+    const std::vector<query::LabeledQuery>& queries) {
+  Status valid = ValidateTrainingOptions();
+  if (!valid.ok()) return valid;
+  if (!built_) return Status::FailedPrecondition("Build() before update");
+  if (queries.empty()) return Status::OK();
+  Train(queries, options_.update_epochs, /*update=*/true);
+  return Status::OK();
+}
+
+void NeuralQueryDrivenEstimator::Train(
+    const std::vector<query::LabeledQuery>& queries, int epochs, bool update) {
+  const char* phase_name = update ? "nn/update_epoch" : "nn/epoch";
+  std::vector<int> order(queries.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  std::unique_ptr<Workspace> ws = NewWorkspace();
   const bool train_log = telemetry::TrainLogEnabled();
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    telemetry::ScopedPhase phase("nn/epoch");
-    telemetry::TraceSpan span("nn/epoch");
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    telemetry::ScopedPhase phase(phase_name);
+    telemetry::TraceSpan span(phase_name);
     int64_t epoch_start = train_log ? telemetry::MonotonicNanos() : 0;
-    last_epoch_loss_ = RunEpoch(training, &order, &rng_);
+    last_epoch_loss_ = RunEpoch(queries, &order, ws.get());
     epoch_losses_.push_back(last_epoch_loss_);
     RecordEpochTelemetry(epoch, last_epoch_loss_, &span);
     if (train_log) {
@@ -96,48 +140,53 @@ Status NeuralQueryDrivenEstimator::Build(
       ev.loss = last_epoch_loss_;
       ev.grad_norm = last_grad_norm_;
       ev.learning_rate = options_.learning_rate;
-      ev.examples = static_cast<int64_t>(training.size());
+      ev.examples = static_cast<int64_t>(queries.size());
       ev.wall_seconds =
           static_cast<double>(telemetry::MonotonicNanos() - epoch_start) / 1e9;
+      if (update) ev.extra.emplace_back("update", 1.0);
       telemetry::RecordTrainingEvent(std::move(ev));
     }
   }
-  train_examples_ = static_cast<int64_t>(training.size());
-  built_ = true;
-  return Status::OK();
 }
 
 double NeuralQueryDrivenEstimator::RunEpoch(
     const std::vector<query::LabeledQuery>& queries, std::vector<int>* order,
-    Rng* rng) {
-  rng->Shuffle(order);
+    Workspace* ws) {
+  rng_.Shuffle(order);
   double epoch_loss = 0;
-  size_t n = order->size();
+  const size_t n = order->size();
+  const size_t batch_size = static_cast<size_t>(options_.batch_size);
   size_t batches = 0;
-  for (size_t start = 0; start < n; start += options_.batch_size) {
-    size_t end = std::min(n, start + options_.batch_size);
-    int b = static_cast<int>(end - start);
-    double batch_loss = 0;
+  std::vector<const query::Query*> batch;
+  batch.reserve(std::min(n, batch_size));
+  for (size_t start = 0; start < n; start += batch_size) {
+    const size_t end = std::min(n, start + batch_size);
+    const int b = static_cast<int>(end - start);
+    batch.clear();
     for (size_t i = start; i < end; ++i) {
-      const query::LabeledQuery& lq = queries[(*order)[i]];
+      batch.push_back(&queries[(*order)[i]].q);
+    }
+    nn::Matrix pred = Forward(batch, ws);
+    nn::Matrix dpred(b, 1);
+    double batch_loss = 0;
+    for (int i = 0; i < b; ++i) {
+      const query::LabeledQuery& lq = queries[(*order)[start + i]];
       float target = encoder_->NormalizeLog(lq.cardinality);
-      float pred = ForwardOne(lq.q);
-      float diff = pred - target;
-      float dpred;
+      float diff = pred.At(i, 0) - target;
       switch (options_.loss) {
         case nn::LossKind::kMse:
           batch_loss += static_cast<double>(diff) * diff;
-          dpred = 2.0f * diff / static_cast<float>(b);
+          dpred.At(i, 0) = 2.0f * diff / static_cast<float>(b);
           break;
         case nn::LossKind::kLogQ:
         default:
           batch_loss += std::abs(static_cast<double>(diff));
-          dpred = (diff > 0 ? 1.0f : (diff < 0 ? -1.0f : 0.0f)) /
-                  static_cast<float>(b);
+          dpred.At(i, 0) = (diff > 0 ? 1.0f : (diff < 0 ? -1.0f : 0.0f)) /
+                           static_cast<float>(b);
           break;
       }
-      BackwardOne(dpred);
     }
+    Backward(dpred, ws);
     // Gradient norm is read *before* Adam consumes (and zeroes) the grads;
     // only when the training log wants it — outputs stay bit-identical with
     // the gate off since nothing else observes the value.
@@ -162,10 +211,11 @@ double NeuralQueryDrivenEstimator::RunEpoch(
 
 double NeuralQueryDrivenEstimator::EstimateCardinality(const query::Query& q) {
   LCE_CHECK_MSG(built_, Name() << ": Build() before EstimateCardinality()");
-  // Stage decomposition: ForwardOne marks encode/forward; the denormalize
-  // tail is postprocess.
+  // Stage decomposition: Forward marks encode/forward; the denormalize tail
+  // is postprocess.
   telemetry::StageTimer stages([this] { return Name(); });
-  float y = ForwardOne(q);
+  const query::Query* one = &q;
+  float y = Forward(QueryBatch(&one, 1), nullptr).At(0, 0);
   telemetry::StageTimer::Mark("postprocess");
   return encoder_->DenormalizeLog(std::clamp(y, 0.0f, 1.0f));
 }
@@ -179,23 +229,16 @@ std::vector<double> NeuralQueryDrivenEstimator::EstimateBatch(
   // batch size, so batch and per-query paths share one scale.
   telemetry::StageTimer stages([this] { return Name(); },
                                static_cast<uint64_t>(queries.size()));
-  std::vector<float> preds;
-  ForwardBatch(queries, &preds);
-  LCE_CHECK(preds.size() == queries.size());
+  std::vector<const query::Query*> batch(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) batch[i] = &queries[i];
+  nn::Matrix preds = Forward(batch, nullptr);
+  LCE_CHECK(preds.rows() == static_cast<int>(queries.size()));
   telemetry::StageTimer::Mark("postprocess");
-  for (size_t i = 0; i < preds.size(); ++i) {
-    out[i] = encoder_->DenormalizeLog(std::clamp(preds[i], 0.0f, 1.0f));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    out[i] = encoder_->DenormalizeLog(
+        std::clamp(preds.At(static_cast<int>(i), 0), 0.0f, 1.0f));
   }
   return out;
-}
-
-void NeuralQueryDrivenEstimator::ForwardBatch(
-    const std::vector<query::Query>& queries, std::vector<float>* out) {
-  // Fallback for subclasses without a vectorized pass: the plain loop, which
-  // satisfies the bit-identity contract trivially.
-  out->clear();
-  out->reserve(queries.size());
-  for (const query::Query& q : queries) out->push_back(ForwardOne(q));
 }
 
 double NeuralQueryDrivenEstimator::EstimateWithDiagnostics(
@@ -212,14 +255,15 @@ double NeuralQueryDrivenEstimator::EstimateWithDiagnostics(
   float y, clamped;
   {
     telemetry::StageTimer stages([this] { return Name(); });
-    y = ForwardOne(q);
+    const query::Query* one = &q;
+    y = Forward(QueryBatch(&one, 1), nullptr).At(0, 0);
     telemetry::StageTimer::Mark("postprocess");
     clamped = std::clamp(y, 0.0f, 1.0f);
     est = encoder_->DenormalizeLog(clamped);
   }
 
   rec->AddCounter("pred_normalized", static_cast<double>(y));
-  FillEncodingDiagnostics(q, rec);
+  AddFeatureStats(encoder_->FlatEncode(q, options_.flat_variant), rec);
   if (y != clamped) {
     rec->AddFallback("nn.output_clamped",
                      "sigmoid output " + std::to_string(y) +
@@ -227,59 +271,6 @@ double NeuralQueryDrivenEstimator::EstimateWithDiagnostics(
   }
   rec->estimate = est;
   return est;
-}
-
-void NeuralQueryDrivenEstimator::FillEncodingDiagnostics(const query::Query& q,
-                                                         ExplainRecord* rec) {
-  // Featurization stats from a fresh (read-only) encoding of the same query;
-  // ForwardOne's cached activations and the estimate are untouched.
-  AddFeatureStats(encoder_->FlatEncode(q, options_.flat_variant), rec);
-}
-
-void NeuralQueryDrivenEstimator::AddFeatureStats(const std::vector<float>& feat,
-                                                 ExplainRecord* rec) {
-  double l2 = 0;
-  int nonzeros = 0;
-  for (float f : feat) {
-    l2 += static_cast<double>(f) * f;
-    if (f != 0.0f) ++nonzeros;
-  }
-  rec->AddCounter("feat_dim", static_cast<double>(feat.size()));
-  rec->AddCounter("feat_nonzeros", static_cast<double>(nonzeros));
-  rec->AddCounter("feat_l2", std::sqrt(l2));
-}
-
-Status NeuralQueryDrivenEstimator::UpdateWithQueries(
-    const std::vector<query::LabeledQuery>& queries) {
-  if (!built_) return Status::FailedPrecondition("Build() before update");
-  if (queries.empty()) return Status::OK();
-  std::vector<int> order(queries.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  const bool train_log = telemetry::TrainLogEnabled();
-  for (int epoch = 0; epoch < options_.update_epochs; ++epoch) {
-    telemetry::ScopedPhase phase("nn/update_epoch");
-    telemetry::TraceSpan span("nn/update_epoch");
-    int64_t epoch_start = train_log ? telemetry::MonotonicNanos() : 0;
-    last_epoch_loss_ = RunEpoch(queries, &order, &rng_);
-    epoch_losses_.push_back(last_epoch_loss_);
-    RecordEpochTelemetry(epoch, last_epoch_loss_, &span);
-    if (train_log) {
-      telemetry::TrainingEvent ev;
-      ev.model = Name();
-      ev.family = "nn";
-      ev.event = "epoch";
-      ev.index = epoch;
-      ev.loss = last_epoch_loss_;
-      ev.grad_norm = last_grad_norm_;
-      ev.learning_rate = options_.learning_rate;
-      ev.examples = static_cast<int64_t>(queries.size());
-      ev.wall_seconds =
-          static_cast<double>(telemetry::MonotonicNanos() - epoch_start) / 1e9;
-      ev.extra.emplace_back("update", 1.0);
-      telemetry::RecordTrainingEvent(std::move(ev));
-    }
-  }
-  return Status::OK();
 }
 
 uint64_t NeuralQueryDrivenEstimator::SizeBytes() const {

@@ -30,41 +30,41 @@ class RecurrentEstimatorBase : public NeuralQueryDrivenEstimator {
     head_ = std::make_unique<nn::Dense>(options_.hidden_dim, 1, rng);
   }
 
-  float ForwardOne(const query::Query& q) override {
-    telemetry::StageTimer::Mark("encode");
-    nn::Matrix seq = nn::Matrix::Stack(encoder().SequenceEncode(q));
-    telemetry::StageTimer::Mark("forward");
-    nn::Matrix h = cell_->ForwardSequence(seq);
-    float pre = head_->Forward(h).Scalar();
-    output_ = 1.0f / (1.0f + std::exp(-pre));
-    return output_;
+  std::unique_ptr<Workspace> NewWorkspace() const override {
+    return std::make_unique<SequenceWorkspace>();
   }
 
-  void ForwardBatch(const std::vector<query::Query>& queries,
-                    std::vector<float>* out) override {
+  nn::Matrix Forward(QueryBatch queries, Workspace* ws) const override {
     telemetry::StageTimer::Mark("encode");
-    std::vector<nn::Matrix> seqs;
-    seqs.reserve(queries.size());
-    for (const query::Query& q : queries) {
-      seqs.push_back(nn::Matrix::Stack(encoder().SequenceEncode(q)));
+    SequenceWorkspace local;
+    SequenceWorkspace& w =
+        ws != nullptr ? static_cast<SequenceWorkspace&>(*ws) : local;
+    w.seqs.clear();
+    for (const query::Query* q : queries) {
+      w.seqs.push_back(nn::Matrix::Stack(encoder().SequenceEncode(*q)));
     }
     telemetry::StageTimer::Mark("forward");
     // One length-packed time-major pass over all sequences, then one
-    // multi-row head pass; the sigmoid tail matches ForwardOne per row.
-    nn::Matrix hs = cell_->ForwardSequenceBatch(seqs);
-    nn::Matrix pre = head_->Forward(hs);
-    out->resize(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      (*out)[i] =
-          1.0f / (1.0f + std::exp(-pre.At(static_cast<int>(i), 0)));
+    // multi-row head pass and the sigmoid.
+    w.hs = cell_->Forward(w.seqs, ws != nullptr ? &w.cell : nullptr);
+    nn::Matrix out = head_->Forward(w.hs);
+    for (int i = 0; i < out.rows(); ++i) {
+      out.At(i, 0) = 1.0f / (1.0f + std::exp(-out.At(i, 0)));
     }
+    if (ws != nullptr) w.out = out;
+    return out;
   }
 
-  void BackwardOne(float dpred) override {
-    nn::Matrix g(1, 1);
-    g.At(0, 0) = dpred * output_ * (1.0f - output_);  // through the sigmoid
-    nn::Matrix dh = head_->Backward(g);
-    cell_->BackwardSequence(dh);
+  void Backward(const nn::Matrix& dpred, Workspace* ws) override {
+    auto& w = static_cast<SequenceWorkspace&>(*ws);
+    nn::Matrix g(dpred.rows(), 1);
+    for (int i = 0; i < g.rows(); ++i) {
+      const float y = w.out.At(i, 0);
+      g.At(i, 0) = dpred.At(i, 0) * y * (1.0f - y);  // through the sigmoid
+    }
+    nn::Matrix dh;
+    head_->Backward(w.hs, g, &dh);
+    cell_->Backward(w.seqs, w.cell, dh);
   }
 
   std::vector<nn::Param*> Params() override {
@@ -81,9 +81,15 @@ class RecurrentEstimatorBase : public NeuralQueryDrivenEstimator {
   }
 
  private:
+  struct SequenceWorkspace : Workspace {
+    std::vector<nn::Matrix> seqs;  // one T_i x token_dim matrix per query
+    typename Cell::Tape cell;
+    nn::Matrix hs;   // final hidden state per query
+    nn::Matrix out;  // sigmoid output per query
+  };
+
   std::unique_ptr<Cell> cell_;
   std::unique_ptr<nn::Dense> head_;
-  float output_ = 0;
 };
 
 class RnnEstimator : public RecurrentEstimatorBase<nn::RnnCell> {

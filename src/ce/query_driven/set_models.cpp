@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/util/logging.h"
 #include "src/util/telemetry/stage_timer.h"
 
 namespace lce {
@@ -10,21 +9,10 @@ namespace ce {
 
 namespace {
 
-// Truncates every token to `dim` entries (drops MSCN bitmaps for FCN+Pool).
-std::vector<std::vector<float>> TruncateTokens(
-    const std::vector<std::vector<float>>& tokens, int dim) {
-  std::vector<std::vector<float>> out;
-  out.reserve(tokens.size());
-  for (const auto& t : tokens) {
-    out.emplace_back(t.begin(), t.begin() + dim);
-  }
-  return out;
-}
-
 // Mean-pools each `counts[i]`-row segment of `m` into row i of `out`
-// starting at `col_offset`, replicating nn::ColMean exactly: ascending-row
-// accumulation into a zeroed float buffer, then one multiply by 1/rows —
-// so each pooled row is bit-identical to ColMean over that query's tokens.
+// starting at `col_offset`: ascending-row accumulation into a zeroed float
+// buffer, then one multiply by 1/rows — so a query's pooled row depends only
+// on its own tokens, never on the batch around it.
 void SegmentMeanInto(const nn::Matrix& m, const std::vector<int>& counts,
                      int col_offset, nn::Matrix* out) {
   int off = 0;
@@ -44,115 +32,107 @@ void SegmentMeanInto(const nn::Matrix& m, const std::vector<int>& counts,
 
 }  // namespace
 
+struct SetBasedEstimator::SetWorkspace : Workspace {
+  struct TokenSet {
+    nn::Matrix tokens;        // every query's tokens, query after query
+    std::vector<int> counts;  // tokens per query (>= 1: MscnEncode pads)
+    nn::MlpTape tape;
+  };
+  TokenSet sets[3];   // tables, joins, predicates
+  nn::Matrix pooled;  // per query: the three mean-pooled set vectors
+  nn::MlpTape head;
+};
+
 void SetBasedEstimator::InitModel(Rng* rng) {
   int h = options_.hidden_dim;
   int table_dim = use_sample_bitmap_
                       ? encoder().mscn_table_dim()
                       : static_cast<int>(encoder().schema().tables.size());
-  table_mlp_ = std::make_unique<nn::Mlp>(std::vector<int>{table_dim, h, h},
-                                         nn::Activation::kRelu,
-                                         nn::Activation::kRelu, rng);
-  join_mlp_ = std::make_unique<nn::Mlp>(
-      std::vector<int>{encoder().mscn_join_dim(), h, h},
-      nn::Activation::kRelu, nn::Activation::kRelu, rng);
-  pred_mlp_ = std::make_unique<nn::Mlp>(
-      std::vector<int>{encoder().mscn_pred_dim(), h, h},
-      nn::Activation::kRelu, nn::Activation::kRelu, rng);
+  const int in_dims[3] = {table_dim, encoder().mscn_join_dim(),
+                          encoder().mscn_pred_dim()};
+  for (int s = 0; s < 3; ++s) {
+    set_mlps_[s] = std::make_unique<nn::Mlp>(
+        std::vector<int>{in_dims[s], h, h}, nn::Activation::kRelu,
+        nn::Activation::kRelu, rng);
+  }
   head_ = std::make_unique<nn::Mlp>(std::vector<int>{3 * h, h, 1},
                                     nn::Activation::kRelu,
                                     nn::Activation::kSigmoid, rng);
 }
 
-nn::Matrix SetBasedEstimator::PoolSet(
-    nn::Mlp* mlp, const std::vector<std::vector<float>>& set, int* rows_out) {
-  nn::Matrix tokens = nn::Matrix::Stack(set);
-  *rows_out = tokens.rows();
-  return nn::ColMean(mlp->Forward(tokens));
+std::unique_ptr<NeuralQueryDrivenEstimator::Workspace>
+SetBasedEstimator::NewWorkspace() const {
+  return std::make_unique<SetWorkspace>();
 }
 
-float SetBasedEstimator::ForwardOne(const query::Query& q) {
-  telemetry::StageTimer::Mark("encode");
-  query::MscnSets sets = encoder().MscnEncode(q);
-  telemetry::StageTimer::Mark("forward");
-  std::vector<std::vector<float>> table_tokens =
-      use_sample_bitmap_
-          ? std::move(sets.tables)
-          : TruncateTokens(sets.tables,
-                           static_cast<int>(encoder().schema().tables.size()));
-  nn::Matrix pt = PoolSet(table_mlp_.get(), table_tokens, &table_rows_);
-  nn::Matrix pj = PoolSet(join_mlp_.get(), sets.joins, &join_rows_);
-  nn::Matrix pp = PoolSet(pred_mlp_.get(), sets.predicates, &pred_rows_);
-  nn::Matrix concat = nn::ConcatCols({&pt, &pj, &pp});
-  return head_->Forward(concat).Scalar();
-}
-
-void SetBasedEstimator::ForwardBatch(const std::vector<query::Query>& queries,
-                                     std::vector<float>* out) {
+nn::Matrix SetBasedEstimator::Forward(QueryBatch queries,
+                                      Workspace* ws) const {
   telemetry::StageTimer::Mark("encode");
   const int n = static_cast<int>(queries.size());
-  const int plain_table_dim =
-      static_cast<int>(encoder().schema().tables.size());
+  const size_t plain_table_dim = encoder().schema().tables.size();
+  SetWorkspace local;
+  SetWorkspace& w = ws != nullptr ? static_cast<SetWorkspace&>(*ws) : local;
   // All queries' tokens concatenated per set type; counts delimit each
-  // query's segment. MscnEncode pads empty sets with one all-zero token, so
-  // every segment has >= 1 row.
-  std::vector<std::vector<float>> tables, joins, preds;
-  std::vector<int> tcnt(n), jcnt(n), pcnt(n);
+  // query's segment.
+  std::vector<std::vector<float>> rows[3];
+  for (auto& set : w.sets) set.counts.resize(n);
   for (int i = 0; i < n; ++i) {
-    query::MscnSets sets = encoder().MscnEncode(queries[i]);
-    tcnt[i] = static_cast<int>(sets.tables.size());
-    jcnt[i] = static_cast<int>(sets.joins.size());
-    pcnt[i] = static_cast<int>(sets.predicates.size());
-    if (use_sample_bitmap_) {
-      for (auto& t : sets.tables) tables.push_back(std::move(t));
-    } else {
-      for (const auto& t : sets.tables) {
-        tables.emplace_back(t.begin(), t.begin() + plain_table_dim);
-      }
+    query::MscnSets sets = encoder().MscnEncode(*queries[i]);
+    w.sets[0].counts[i] = static_cast<int>(sets.tables.size());
+    w.sets[1].counts[i] = static_cast<int>(sets.joins.size());
+    w.sets[2].counts[i] = static_cast<int>(sets.predicates.size());
+    for (auto& t : sets.tables) {
+      // FCN+Pool's table tokens drop MSCN's sample bitmaps.
+      if (!use_sample_bitmap_) t.resize(plain_table_dim);
+      rows[0].push_back(std::move(t));
     }
-    for (auto& t : sets.joins) joins.push_back(std::move(t));
-    for (auto& t : sets.predicates) preds.push_back(std::move(t));
+    for (auto& t : sets.joins) rows[1].push_back(std::move(t));
+    for (auto& t : sets.predicates) rows[2].push_back(std::move(t));
   }
   telemetry::StageTimer::Mark("forward");
   // One multi-row pass per sub-MLP over every query's tokens at once, then
   // per-query segment pooling, then one multi-row head pass.
-  nn::Matrix tm = table_mlp_->Forward(nn::Matrix::Stack(tables));
-  nn::Matrix jm = join_mlp_->Forward(nn::Matrix::Stack(joins));
-  nn::Matrix pm = pred_mlp_->Forward(nn::Matrix::Stack(preds));
   const int h = options_.hidden_dim;
-  nn::Matrix pooled(n, 3 * h);
-  SegmentMeanInto(tm, tcnt, 0, &pooled);
-  SegmentMeanInto(jm, jcnt, h, &pooled);
-  SegmentMeanInto(pm, pcnt, 2 * h, &pooled);
-  nn::Matrix y = head_->Forward(pooled);
-  out->resize(queries.size());
-  for (int i = 0; i < n; ++i) (*out)[i] = y.At(i, 0);
+  w.pooled = nn::Matrix(n, 3 * h);
+  for (int s = 0; s < 3; ++s) {
+    SetWorkspace::TokenSet& set = w.sets[s];
+    set.tokens = nn::Matrix::Stack(rows[s]);
+    nn::Matrix out =
+        set_mlps_[s]->Forward(set.tokens, ws != nullptr ? &set.tape : nullptr);
+    SegmentMeanInto(out, set.counts, s * h, &w.pooled);
+  }
+  return head_->Forward(w.pooled, ws != nullptr ? &w.head : nullptr);
 }
 
-void SetBasedEstimator::BackwardOne(float dpred) {
-  nn::Matrix g(1, 1);
-  g.At(0, 0) = dpred;
-  nn::Matrix dconcat = head_->Backward(g);
-  int h = options_.hidden_dim;
-  LCE_CHECK(dconcat.cols() == 3 * h);
-  auto backward_set = [&](nn::Mlp* mlp, int offset, int rows) {
-    // Mean pooling: every token row receives dpooled / rows.
-    nn::Matrix dtokens(rows, h);
-    for (int r = 0; r < rows; ++r) {
-      for (int c = 0; c < h; ++c) {
-        dtokens.At(r, c) = dconcat.At(0, offset + c) / static_cast<float>(rows);
+void SetBasedEstimator::Backward(const nn::Matrix& dpred, Workspace* ws) {
+  auto& w = static_cast<SetWorkspace&>(*ws);
+  nn::Matrix dpooled;
+  head_->Backward(w.pooled, w.head, dpred, &dpooled);
+  const int h = options_.hidden_dim;
+  for (int s = 0; s < 3; ++s) {
+    const SetWorkspace::TokenSet& set = w.sets[s];
+    // Mean pooling: every token row of query i receives dpooled_i / count_i.
+    nn::Matrix dtokens(set.tokens.rows(), h);
+    int row = 0;
+    for (size_t i = 0; i < set.counts.size(); ++i) {
+      const float* d = dpooled.RowPtr(static_cast<int>(i)) + s * h;
+      const float count = static_cast<float>(set.counts[i]);
+      for (int r = 0; r < set.counts[i]; ++r, ++row) {
+        float* out = dtokens.RowPtr(row);
+        for (int c = 0; c < h; ++c) out[c] = d[c] / count;
       }
     }
-    mlp->Backward(dtokens);
-  };
-  backward_set(table_mlp_.get(), 0, table_rows_);
-  backward_set(join_mlp_.get(), h, join_rows_);
-  backward_set(pred_mlp_.get(), 2 * h, pred_rows_);
+    // The weight gradients add one sum per query, as one backward per
+    // query did (DESIGN.md §10).
+    set_mlps_[s]->Backward(set.tokens, set.tape, dtokens, /*dx=*/nullptr,
+                           &set.counts);
+  }
 }
 
 std::vector<nn::Param*> SetBasedEstimator::Params() {
   std::vector<nn::Param*> params;
-  for (nn::Mlp* m : {table_mlp_.get(), join_mlp_.get(), pred_mlp_.get(),
-                     head_.get()}) {
+  for (nn::Mlp* m : {set_mlps_[0].get(), set_mlps_[1].get(),
+                     set_mlps_[2].get(), head_.get()}) {
     for (nn::Param* p : m->Params()) params.push_back(p);
   }
   return params;
@@ -160,8 +140,8 @@ std::vector<nn::Param*> SetBasedEstimator::Params() {
 
 size_t SetBasedEstimator::NumParams() const {
   size_t n = 0;
-  for (const nn::Mlp* m : {table_mlp_.get(), join_mlp_.get(), pred_mlp_.get(),
-                           head_.get()}) {
+  for (const nn::Mlp* m : {set_mlps_[0].get(), set_mlps_[1].get(),
+                           set_mlps_[2].get(), head_.get()}) {
     if (m != nullptr) n += m->NumParams();
   }
   return n;

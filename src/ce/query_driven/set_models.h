@@ -27,25 +27,20 @@ class SetBasedEstimator : public NeuralQueryDrivenEstimator {
 
  protected:
   void InitModel(Rng* rng) override;
-  float ForwardOne(const query::Query& q) override;
-  void ForwardBatch(const std::vector<query::Query>& queries,
-                    std::vector<float>* out) override;
-  void BackwardOne(float dpred) override;
+  std::unique_ptr<Workspace> NewWorkspace() const override;
+  nn::Matrix Forward(QueryBatch queries, Workspace* ws) const override;
+  void Backward(const nn::Matrix& dpred, Workspace* ws) override;
   std::vector<nn::Param*> Params() override;
   size_t NumParams() const override;
 
  private:
-  /// Runs one token set through its sub-MLP and mean-pools. Caches the row
-  /// count for the backward pass.
-  nn::Matrix PoolSet(nn::Mlp* mlp, const std::vector<std::vector<float>>& set,
-                     int* rows_out);
+  struct SetWorkspace;
 
   bool use_sample_bitmap_;
-  std::unique_ptr<nn::Mlp> table_mlp_;
-  std::unique_ptr<nn::Mlp> join_mlp_;
-  std::unique_ptr<nn::Mlp> pred_mlp_;
+  // One sub-MLP per token set, in the order of the pooled vector's column
+  // blocks: tables, joins, predicates.
+  std::unique_ptr<nn::Mlp> set_mlps_[3];
   std::unique_ptr<nn::Mlp> head_;
-  int table_rows_ = 0, join_rows_ = 0, pred_rows_ = 0;
 };
 
 class MscnEstimator : public SetBasedEstimator {

@@ -1,4 +1,4 @@
-// Fully-connected layer with cached-input backward pass.
+// Fully-connected layer: a const forward and a batched backward.
 
 #ifndef LCE_NN_DENSE_H_
 #define LCE_NN_DENSE_H_
@@ -11,10 +11,11 @@
 namespace lce {
 namespace nn {
 
-/// y = x * W + b, operating on a batch matrix (rows = examples).
+/// y = act(x * W + b), operating on a batch matrix (rows = examples).
 ///
-/// Forward caches its input; Backward must be called with the gradient of the
-/// most recent Forward. Parameter gradients accumulate until ZeroGrad().
+/// Forward writes no member, so inference needs no training state; the
+/// caller keeps the forward's input for Backward. Parameter gradients
+/// accumulate until ZeroGrad().
 class Dense {
  public:
   Dense(int in_dim, int out_dim, Rng* rng)
@@ -23,24 +24,25 @@ class Dense {
                               rng)),
         bias_(Matrix::Zeros(1, out_dim)) {}
 
-  Matrix Forward(const Matrix& x) { return Forward(x, Activation::kIdentity); }
-
   /// y = act(x * W + b) via the fused kernel epilogue (matrix.cpp): bias and
   /// activation apply while each output row is cache-hot instead of in two
-  /// further passes. Bit-identical to Forward + ApplyActivation.
-  Matrix Forward(const Matrix& x, Activation act) {
-    input_ = x;
+  /// further passes. Bit-identical to MatMul + AddBiasRow + ApplyActivation.
+  Matrix Forward(const Matrix& x,
+                 Activation act = Activation::kIdentity) const {
     return MatMulBiasAct(x, weight_.value, bias_.value, act);
   }
 
-  /// Returns dL/dx; accumulates dL/dW and dL/db.
-  Matrix Backward(const Matrix& dy) {
-    weight_.grad.Add(MatMulTransA(input_, dy));
-    for (int r = 0; r < dy.rows(); ++r) {
-      const float* row = dy.RowPtr(r);
-      for (int c = 0; c < dy.cols(); ++c) bias_.grad.At(0, c) += row[c];
-    }
-    return MatMulTransB(dy, weight_.value);
+  /// Backward of Forward(x) given dL/d(pre-activation output) `dy`:
+  /// accumulates dL/dW and dL/db, and writes dL/dx to `dx` when non-null.
+  /// Each gradient adds its per-row terms in row order, as one-row
+  /// backwards in row order would; with `segments`, dL/dW adds one
+  /// zero-started sum per segment of rows instead (MatMulTransAAccumulate),
+  /// as one backward per segment would. dL/db always adds row by row.
+  void Backward(const Matrix& x, const Matrix& dy, Matrix* dx,
+                const std::vector<int>* segments = nullptr) {
+    MatMulTransAAccumulate(x, dy, &weight_.grad, segments);
+    AccumulateRows(dy, &bias_.grad);
+    if (dx != nullptr) *dx = MatMulTransB(dy, weight_.value);
   }
 
   std::vector<Param*> Params() { return {&weight_, &bias_}; }
@@ -51,7 +53,6 @@ class Dense {
  private:
   Param weight_;
   Param bias_;
-  Matrix input_;
 };
 
 }  // namespace nn

@@ -101,11 +101,6 @@ class Matrix {
     return m;
   }
 
-  /// Builds a 1 x n row from a float vector.
-  static Matrix Row(const std::vector<float>& values) {
-    return FromFlat(1, static_cast<int>(values.size()), values);
-  }
-
   /// Builds a rows x cols matrix from rows*cols values in row-major order.
   static Matrix FromFlat(int rows, int cols, const std::vector<float>& flat) {
     LCE_CHECK(flat.size() == static_cast<size_t>(rows) * cols);
@@ -165,12 +160,6 @@ class Matrix {
   void Add(const Matrix& other);
   void Scale(float s);
 
-  /// Returns the single element of a 1x1 matrix.
-  float Scalar() const {
-    LCE_CHECK(rows_ == 1 && cols_ == 1);
-    return data_[0];
-  }
-
   /// One row as a copy.
   std::vector<float> RowVector(int r) const {
     return std::vector<float>(RowPtr(r), RowPtr(r) + cols_);
@@ -202,6 +191,15 @@ Result<Matrix> TryMatMul(const Matrix& a, const Matrix& b);
 /// C = A^T * B.
 Matrix MatMulTransA(const Matrix& a, const Matrix& b);
 Result<Matrix> TryMatMulTransA(const Matrix& a, const Matrix& b);
+/// C += A^T * B: the weight-gradient kernel of batched training. Each
+/// element of C adds its k-terms a(k,i) * b(k,j) in ascending k, directly
+/// into C — the sums a run of one-row MatMulTransA + Add calls, one per row
+/// in order, produces. With `segments` (row counts summing to A.rows()),
+/// the terms of each segment are first summed from zero and C adds the
+/// segment sums in order: the sums of one MatMulTransA + Add per segment.
+/// A segment of one row is added directly, which yields the same bits.
+void MatMulTransAAccumulate(const Matrix& a, const Matrix& b, Matrix* c,
+                            const std::vector<int>* segments = nullptr);
 /// C = A * B^T.
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 Result<Matrix> TryMatMulTransB(const Matrix& a, const Matrix& b);
@@ -222,11 +220,9 @@ void AddBiasRow(Matrix* x, const Matrix& bias);
 /// callers that already hold the matmul result, e.g. the RNN cell).
 void AddBiasRowActivate(Matrix* x, const Matrix& bias, Activation act);
 
-/// Column-wise mean: 1 x cols.
-Matrix ColMean(const Matrix& x);
-
-/// Concatenates matrices with equal row counts along columns.
-Matrix ConcatCols(const std::vector<const Matrix*>& parts);
+/// sum (1 x cols) += every row of x, rows in ascending order: the bias
+/// gradient of a batch, added as one-row backwards in row order would.
+void AccumulateRows(const Matrix& x, Matrix* sum);
 
 }  // namespace nn
 }  // namespace lce

@@ -12,25 +12,38 @@ Mlp::Mlp(const std::vector<int>& dims, Activation hidden_act,
   }
 }
 
-Matrix Mlp::Forward(const Matrix& x) {
-  outputs_.clear();
-  Matrix cur = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    cur = layers_[i]->Forward(cur, acts_[i]);
-    outputs_.push_back(cur);
+Matrix Mlp::Forward(const Matrix& x, MlpTape* tape) const {
+  if (tape == nullptr) {
+    Matrix cur = layers_[0]->Forward(x, acts_[0]);
+    for (size_t i = 1; i < layers_.size(); ++i) {
+      cur = layers_[i]->Forward(cur, acts_[i]);
+    }
+    return cur;
   }
-  return cur;
+  tape->outputs.resize(layers_.size());
+  const Matrix* cur = &x;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    tape->outputs[i] = layers_[i]->Forward(*cur, acts_[i]);
+    cur = &tape->outputs[i];
+  }
+  return *cur;
 }
 
-Matrix Mlp::Backward(const Matrix& dout) {
-  LCE_CHECK_MSG(outputs_.size() == layers_.size(),
+void Mlp::Backward(const Matrix& x, const MlpTape& tape, const Matrix& dout,
+                   Matrix* dx, const std::vector<int>* segments) {
+  LCE_CHECK_MSG(tape.outputs.size() == layers_.size(),
                 "Backward without a matching Forward");
   Matrix grad = dout;
   for (size_t i = layers_.size(); i-- > 0;) {
-    grad = ActivationBackward(acts_[i], outputs_[i], std::move(grad));
-    grad = layers_[i]->Backward(grad);
+    grad = ActivationBackward(acts_[i], tape.outputs[i], std::move(grad));
+    const Matrix& input = i > 0 ? tape.outputs[i - 1] : x;
+    const bool want_dinput = i > 0 || dx != nullptr;
+    Matrix dinput;
+    layers_[i]->Backward(input, grad, want_dinput ? &dinput : nullptr,
+                         segments);
+    grad = std::move(dinput);
   }
-  return grad;
+  if (dx != nullptr) *dx = std::move(grad);
 }
 
 std::vector<Param*> Mlp::Params() {

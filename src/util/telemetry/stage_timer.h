@@ -18,7 +18,7 @@
 // loads and a branch; Mark() is a thread-local load plus a branch. Estimator
 // outputs are bit-identical either way.
 //
-// Marking from shared helpers (a virtual ForwardOne that doesn't see the
+// Marking from shared helpers (a virtual Forward that doesn't see the
 // timer) goes through the static Mark(), which targets the innermost live
 // timer on the thread — nested estimators (Bounded wrapping two inner
 // estimators) therefore attribute stages to the model actually executing.

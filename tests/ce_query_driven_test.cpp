@@ -2,9 +2,12 @@
 // kept small; the assertions target learnability and API contracts, not
 // state-of-the-art accuracy (that is what the benchmarks measure).
 
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "src/ce/factory.h"
+#include "src/ce/query_driven/flat_models.h"
 #include "src/eval/metrics.h"
 #include "src/storage/datagen.h"
 #include "src/workload/generator.h"
@@ -146,6 +149,40 @@ TEST(QueryDrivenTest, BuildRejectsEmptyTraining) {
   const Fixture& fx = SingleTableFixture();
   auto est = MakeEstimator("FCN", FastOptions(), 1);
   EXPECT_FALSE(est->Build(*fx.db, {}).ok());
+}
+
+// batch_size < 1 would hang training (0: the minibatch loop never advances)
+// or silently train one full batch per epoch (-1 wraps to SIZE_MAX), so both
+// training entry points must refuse it before training.
+TEST(QueryDrivenTest, TrainingRejectsBatchSizeBelowOne) {
+  const Fixture& fx = SingleTableFixture();
+  NeuralOptions good = FastOptions();
+  good.epochs = 1;
+  FcnEstimator trained(good);
+  ASSERT_TRUE(trained.Build(*fx.db, fx.train).ok());
+  std::stringstream saved;
+  ASSERT_TRUE(trained.SaveModel(&saved).ok());
+  const query::Query& probe = fx.test.front().q;
+  for (int batch_size : {0, -1}) {
+    NeuralOptions bad = good;
+    bad.batch_size = batch_size;
+    FcnEstimator built(bad);
+    EXPECT_EQ(built.Build(*fx.db, fx.train).code(),
+              StatusCode::kInvalidArgument)
+        << "batch_size " << batch_size;
+
+    // A usable model with the bad option, reached through Prepare+LoadModel.
+    FcnEstimator loaded(bad);
+    ASSERT_TRUE(loaded.Prepare(*fx.db).ok());
+    std::stringstream in(saved.str());
+    ASSERT_TRUE(loaded.LoadModel(&in).ok());
+    EXPECT_EQ(loaded.UpdateWithQueries(fx.test).code(),
+              StatusCode::kInvalidArgument)
+        << "batch_size " << batch_size;
+    // Nothing trained: the loaded weights still answer like the saved model.
+    EXPECT_EQ(loaded.EstimateCardinality(probe),
+              trained.EstimateCardinality(probe));
+  }
 }
 
 TEST(QueryDrivenTest, EstimateBeforeBuildDies) {

@@ -71,7 +71,7 @@ TEST(GradCheckTest, DenseLayer) {
   auto backward = [&]() {
     Matrix y = dense.Forward(x);
     Matrix ones(y.rows(), y.cols(), 1.0f);
-    dense.Backward(ones);
+    dense.Backward(x, ones, /*dx=*/nullptr);
   };
   CheckParamGradients(dense.Params(), forward, backward);
 }
@@ -87,9 +87,10 @@ TEST(GradCheckTest, MlpWithTanhAndSigmoid) {
     return ComputeLoss(LossKind::kMse, y, targets).loss;
   };
   auto backward = [&]() {
-    Matrix y = mlp.Forward(x);
+    MlpTape tape;
+    Matrix y = mlp.Forward(x, &tape);
     LossResult lr = ComputeLoss(LossKind::kMse, y, targets);
-    mlp.Backward(lr.grad);
+    mlp.Backward(x, tape, lr.grad, /*dx=*/nullptr);
   };
   CheckParamGradients(mlp.Params(), forward, backward);
 }
@@ -104,12 +105,14 @@ TEST(GradCheckTest, MlpInputGradient) {
     for (float v : y.ToFlat()) s += v * v;
     return s;
   };
-  Matrix y = mlp.Forward(x);
+  MlpTape tape;
+  Matrix y = mlp.Forward(x, &tape);
   Matrix dy(y.rows(), y.cols());
   for (size_t i = 0; i < y.size(); ++i) {
     ElemAt(dy, i) = 2.0f * ElemAt(y, i);
   }
-  Matrix dx = mlp.Backward(dy);
+  Matrix dx;
+  mlp.Backward(x, tape, dy, &dx);
   for (int c = 0; c < x.cols(); ++c) {
     Matrix xp = x, xm = x;
     xp.At(0, c) += kEps;
@@ -122,34 +125,37 @@ TEST(GradCheckTest, MlpInputGradient) {
   }
 }
 
+// Three sequences of lengths 5, 2 and 4 in one batch: the cells sort rows by
+// length and drop finished ones, so the check also covers that masking.
+std::vector<Matrix> MixedLengthBatch(int in_dim, Rng* rng) {
+  return {Matrix::Randn(5, in_dim, 1.0f, rng),
+          Matrix::Randn(2, in_dim, 1.0f, rng),
+          Matrix::Randn(4, in_dim, 1.0f, rng)};
+}
+
+// Loss = sum of every sequence's final hidden state.
+template <typename Cell>
+void CheckCellThroughTime(Cell* cell, const std::vector<Matrix>& seqs) {
+  auto forward = [&]() { return SumElems(cell->Forward(seqs)); };
+  auto backward = [&]() {
+    typename Cell::Tape tape;
+    Matrix h = cell->Forward(seqs, &tape);
+    Matrix ones(h.rows(), h.cols(), 1.0f);
+    cell->Backward(seqs, tape, ones);
+  };
+  CheckParamGradients(cell->Params(), forward, backward);
+}
+
 TEST(GradCheckTest, RnnCellThroughTime) {
   Rng rng(4);
   RnnCell cell(3, 5, &rng);
-  Matrix seq = Matrix::Randn(4, 3, 1.0f, &rng);
-  auto forward = [&]() {
-    return SumElems(cell.ForwardSequence(seq));
-  };
-  auto backward = [&]() {
-    Matrix h = cell.ForwardSequence(seq);
-    Matrix ones(1, h.cols(), 1.0f);
-    cell.BackwardSequence(ones);
-  };
-  CheckParamGradients(cell.Params(), forward, backward);
+  CheckCellThroughTime(&cell, MixedLengthBatch(3, &rng));
 }
 
 TEST(GradCheckTest, LstmCellThroughTime) {
   Rng rng(5);
   LstmCell cell(3, 4, &rng);
-  Matrix seq = Matrix::Randn(5, 3, 1.0f, &rng);
-  auto forward = [&]() {
-    return SumElems(cell.ForwardSequence(seq));
-  };
-  auto backward = [&]() {
-    Matrix h = cell.ForwardSequence(seq);
-    Matrix ones(1, h.cols(), 1.0f);
-    cell.BackwardSequence(ones);
-  };
-  CheckParamGradients(cell.Params(), forward, backward);
+  CheckCellThroughTime(&cell, MixedLengthBatch(3, &rng));
 }
 
 TEST(GradCheckTest, LossGradients) {

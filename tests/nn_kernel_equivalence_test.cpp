@@ -2,7 +2,10 @@
 // reference path (LCE_SIMD=0), asserting the DESIGN.md §10 exactness
 // contract: the default build is BIT-identical to the reference on every
 // input, at every thread count, for every shape — including degenerate ones
-// (1xN, Nx1, odd tails past the 4-row panels and 16-float padding).
+// (1xN, Nx1, odd tails past the 4-row panels and 16-float padding). The
+// batched-training tests below hold the layers to the same contract: one
+// backward over a minibatch accumulates exactly the gradients of one
+// backward per example (or per query's token segment) in order.
 
 #include <cmath>
 #include <cstdint>
@@ -16,6 +19,7 @@
 #include "src/nn/adam.h"
 #include "src/nn/matrix.h"
 #include "src/nn/mlp.h"
+#include "src/nn/recurrent.h"
 #include "src/util/parallel.h"
 #include "src/util/simd.h"
 
@@ -209,10 +213,11 @@ TEST(KernelEquivalenceTest, MlpTrainingIsBitIdenticalAcrossPaths) {
     Mlp mlp({7, 16, 5, 1}, Activation::kRelu, Activation::kSigmoid, &rng);
     Adam adam(1e-2f);
     Matrix x = Matrix::Randn(12, 7, 1.0f, &rng);
+    MlpTape tape;
     for (int step = 0; step < 10; ++step) {
-      Matrix y = mlp.Forward(x);
+      Matrix y = mlp.Forward(x, &tape);
       Matrix dy(y.rows(), y.cols(), 1.0f);
-      mlp.Backward(dy);
+      mlp.Backward(x, tape, dy, /*dx=*/nullptr);
       adam.Step(mlp.Params());
     }
     std::vector<uint32_t> bits;
@@ -232,6 +237,176 @@ TEST(KernelEquivalenceTest, MlpTrainingIsBitIdenticalAcrossPaths) {
     simd::SetSimdEnabledForTesting(0);
     EXPECT_EQ(reference, train()) << "naive threads=" << threads;
   }
+}
+
+// Rows [r0, r0 + n) of `m` as their own matrix.
+Matrix Rows(const Matrix& m, int r0, int n) {
+  Matrix out(n, m.cols());
+  for (int r = 0; r < n; ++r) {
+    std::copy(m.RowPtr(r0 + r), m.RowPtr(r0 + r) + m.cols(), out.RowPtr(r));
+  }
+  return out;
+}
+
+// C += A^T B as one MatMulTransA + Add per group of `lengths` rows: the sums
+// that training one example at a time adds into its gradients.
+Matrix AddPerGroup(const Matrix& a, const Matrix& b, Matrix c,
+                   const std::vector<int>& lengths) {
+  int r0 = 0;
+  for (int len : lengths) {
+    c.Add(MatMulTransA(Rows(a, r0, len), Rows(b, r0, len)));
+    r0 += len;
+  }
+  return c;
+}
+
+TEST(KernelEquivalenceTest, MatMulTransAAccumulateMatchesPerGroupSums) {
+  // Segments of one and of several rows, summing to the 17 rows of A and B.
+  const std::vector<int> segments = {3, 1, 1, 5, 2, 4, 1};
+  const std::vector<int> single_rows(17, 1);
+  KernelEnvGuard guard;
+  for (const Shape& s : kShapes) {
+    Rng rng(s.m * 4001 + s.n * 13);
+    Matrix a = RandomMatrix(17, s.m, &rng);
+    Matrix b = RandomMatrix(17, s.n, &rng);
+    Matrix c0 = RandomMatrix(s.m, s.n, &rng);
+    for (int threads : kThreadCounts) {
+      parallel::SetThreadCountForTesting(threads);
+      for (int simd_on : {0, 1}) {
+        simd::SetSimdEnabledForTesting(simd_on);
+        Matrix by_row = c0;
+        MatMulTransAAccumulate(a, b, &by_row);
+        EXPECT_EQ(Bits(by_row), Bits(AddPerGroup(a, b, c0, single_rows)))
+            << "rows, simd=" << simd_on << " threads=" << threads;
+        Matrix by_segment = c0;
+        MatMulTransAAccumulate(a, b, &by_segment, &segments);
+        EXPECT_EQ(Bits(by_segment), Bits(AddPerGroup(a, b, c0, segments)))
+            << "segments, simd=" << simd_on << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// Bits of every parameter gradient, in Params() order.
+std::vector<uint32_t> GradBits(const std::vector<Param*>& params) {
+  std::vector<uint32_t> bits;
+  for (const Param* p : params) {
+    std::vector<uint32_t> b = Bits(p->grad);
+    bits.insert(bits.end(), b.begin(), b.end());
+  }
+  return bits;
+}
+
+void ZeroGrads(const std::vector<Param*>& params) {
+  for (Param* p : params) p->ZeroGrad();
+}
+
+// 13 rows: more than the 8 rows at which MatMulTransB packs B, with a tail
+// past the 4-row panels.
+TEST(KernelEquivalenceTest, MlpBatchedBackwardMatchesOneRowBackwards) {
+  KernelEnvGuard guard;
+  Rng rng(21);
+  Mlp mlp({9, 24, 6, 3}, Activation::kRelu, Activation::kSigmoid, &rng);
+  const int rows = 13;
+  Matrix x = RandomMatrix(rows, 9, &rng);
+  Matrix dy = RandomMatrix(rows, 3, &rng);
+  for (int threads : kThreadCounts) {
+    parallel::SetThreadCountForTesting(threads);
+    ZeroGrads(mlp.Params());
+    MlpTape tape;
+    Matrix y = mlp.Forward(x, &tape);
+    Matrix dx;
+    mlp.Backward(x, tape, dy, &dx);
+    std::vector<uint32_t> batched = GradBits(mlp.Params());
+
+    ZeroGrads(mlp.Params());
+    for (int r = 0; r < rows; ++r) {
+      Matrix xr = Rows(x, r, 1);
+      MlpTape row_tape;
+      Matrix yr = mlp.Forward(xr, &row_tape);
+      EXPECT_EQ(Bits(yr), Bits(Rows(y, r, 1))) << "output row " << r;
+      Matrix dxr;
+      mlp.Backward(xr, row_tape, Rows(dy, r, 1), &dxr);
+      EXPECT_EQ(Bits(dxr), Bits(Rows(dx, r, 1))) << "dx row " << r;
+    }
+    EXPECT_EQ(batched, GradBits(mlp.Params())) << "threads=" << threads;
+  }
+}
+
+// The set models' token MLPs: rows are tokens and each query owns a segment.
+// Trained one query at a time, each query's backward sums its tokens' weight
+// terms from zero before adding them (its rows as one segment) and adds its
+// bias terms row by row; one backward over all queries' segments must land on
+// the same bits.
+TEST(KernelEquivalenceTest, MlpSegmentedBackwardMatchesOneBackwardPerSegment) {
+  KernelEnvGuard guard;
+  Rng rng(22);
+  Mlp mlp({11, 20, 20}, Activation::kRelu, Activation::kRelu, &rng);
+  const std::vector<int> segments = {3, 1, 4, 2, 1, 5, 1, 2};
+  const int rows = 19;
+  Matrix x = RandomMatrix(rows, 11, &rng);
+  Matrix dy = RandomMatrix(rows, 20, &rng);
+  for (int threads : kThreadCounts) {
+    parallel::SetThreadCountForTesting(threads);
+    ZeroGrads(mlp.Params());
+    MlpTape tape;
+    mlp.Forward(x, &tape);
+    mlp.Backward(x, tape, dy, /*dx=*/nullptr, &segments);
+    std::vector<uint32_t> batched = GradBits(mlp.Params());
+
+    ZeroGrads(mlp.Params());
+    int r0 = 0;
+    for (int len : segments) {
+      Matrix xs = Rows(x, r0, len);
+      MlpTape seg_tape;
+      mlp.Forward(xs, &seg_tape);
+      const std::vector<int> one_segment = {len};
+      mlp.Backward(xs, seg_tape, Rows(dy, r0, len), /*dx=*/nullptr,
+                   &one_segment);
+      r0 += len;
+    }
+    EXPECT_EQ(batched, GradBits(mlp.Params())) << "threads=" << threads;
+  }
+}
+
+// Mixed, unsorted lengths with ties and more than 8 sequences (the packed
+// A * B^T path): one batched BPTT equals one-sequence calls in input order,
+// for the final hidden states and for every gradient.
+template <typename Cell>
+void ExpectBatchedBpttMatchesOneSequenceCalls(int in_dim, int hidden) {
+  KernelEnvGuard guard;
+  Rng rng(23);
+  Cell cell(in_dim, hidden, &rng);
+  const std::vector<int> lengths = {3, 7, 1, 7, 4, 2, 5, 1, 6};
+  std::vector<Matrix> seqs;
+  for (int len : lengths) seqs.push_back(RandomMatrix(len, in_dim, &rng));
+  const int n = static_cast<int>(seqs.size());
+  Matrix dh = RandomMatrix(n, hidden, &rng);
+  for (int threads : kThreadCounts) {
+    parallel::SetThreadCountForTesting(threads);
+    ZeroGrads(cell.Params());
+    typename Cell::Tape tape;
+    Matrix h = cell.Forward(seqs, &tape);
+    cell.Backward(seqs, tape, dh);
+    std::vector<uint32_t> batched = GradBits(cell.Params());
+
+    ZeroGrads(cell.Params());
+    for (int i = 0; i < n; ++i) {
+      typename Cell::Tape one_tape;
+      Matrix hi = cell.Forward({seqs[i]}, &one_tape);
+      EXPECT_EQ(Bits(hi), Bits(Rows(h, i, 1))) << "sequence " << i;
+      cell.Backward({seqs[i]}, one_tape, Rows(dh, i, 1));
+    }
+    EXPECT_EQ(batched, GradBits(cell.Params())) << "threads=" << threads;
+  }
+}
+
+TEST(KernelEquivalenceTest, RnnBatchedBpttMatchesOneSequenceCalls) {
+  ExpectBatchedBpttMatchesOneSequenceCalls<RnnCell>(5, 12);
+}
+
+TEST(KernelEquivalenceTest, LstmBatchedBpttMatchesOneSequenceCalls) {
+  ExpectBatchedBpttMatchesOneSequenceCalls<LstmCell>(5, 12);
 }
 
 // LCE_FASTMATH reorders dot-product accumulation: not bit-identical (that is

@@ -62,22 +62,13 @@ TEST(MatrixTest, AddBiasRowBroadcasts) {
   EXPECT_FLOAT_EQ(x.At(1, 1), 24);
 }
 
-TEST(MatrixTest, ColMeanAveragesRows) {
+TEST(MatrixTest, AccumulateRowsAddsEveryRow) {
   Matrix x = Fill(2, 3, {1, 2, 3, 3, 4, 5});
-  Matrix m = ColMean(x);
-  EXPECT_FLOAT_EQ(m.At(0, 0), 2);
-  EXPECT_FLOAT_EQ(m.At(0, 1), 3);
-  EXPECT_FLOAT_EQ(m.At(0, 2), 4);
-}
-
-TEST(MatrixTest, ConcatColsLaysOutParts) {
-  Matrix a = Fill(2, 1, {1, 2});
-  Matrix b = Fill(2, 2, {3, 4, 5, 6});
-  Matrix c = ConcatCols({&a, &b});
-  ASSERT_EQ(c.cols(), 3);
-  EXPECT_FLOAT_EQ(c.At(0, 0), 1);
-  EXPECT_FLOAT_EQ(c.At(0, 2), 4);
-  EXPECT_FLOAT_EQ(c.At(1, 1), 5);
+  Matrix sum = Fill(1, 3, {10, 20, 30});
+  AccumulateRows(x, &sum);
+  EXPECT_FLOAT_EQ(sum.At(0, 0), 14);
+  EXPECT_FLOAT_EQ(sum.At(0, 1), 26);
+  EXPECT_FLOAT_EQ(sum.At(0, 2), 38);
 }
 
 TEST(MatrixTest, StackRejectsRaggedInput) {
@@ -141,13 +132,6 @@ TEST(MatrixTest, MatMulShapeMismatchAborts) {
   Matrix a(2, 3);
   Matrix bad(2, 2);
   EXPECT_DEATH(MatMul(a, bad), "shape mismatch");
-}
-
-TEST(MatrixTest, ScalarRequiresOneByOne) {
-  Matrix m = Fill(1, 1, {42});
-  EXPECT_FLOAT_EQ(m.Scalar(), 42);
-  Matrix wide = Fill(1, 2, {1, 2});
-  EXPECT_DEATH(wide.Scalar(), "");
 }
 
 }  // namespace

@@ -33,11 +33,12 @@ TEST(TrainingTest, MlpFitsQuadratic) {
     Matrix x;
     std::vector<float> t;
     batch(32, &x, &t);
-    Matrix y = mlp.Forward(x);
+    MlpTape tape;
+    Matrix y = mlp.Forward(x, &tape);
     LossResult lr = ComputeLoss(LossKind::kMse, y, t);
     if (step == 0) first_loss = lr.loss;
     last_loss = lr.loss;
-    mlp.Backward(lr.grad);
+    mlp.Backward(x, tape, lr.grad, /*dx=*/nullptr);
     adam.Step(mlp.Params());
   }
   EXPECT_LT(last_loss, first_loss * 0.1);
@@ -48,9 +49,10 @@ TEST(TrainingTest, AdamZeroesGradientsAfterStep) {
   Rng rng(2);
   Mlp mlp({2, 3, 1}, Activation::kTanh, Activation::kIdentity, &rng);
   Matrix x = Matrix::Randn(4, 2, 1.0f, &rng);
-  Matrix y = mlp.Forward(x);
+  MlpTape tape;
+  mlp.Forward(x, &tape);
   Matrix ones(4, 1, 1.0f);
-  mlp.Backward(ones);
+  mlp.Backward(x, tape, ones, /*dx=*/nullptr);
   Adam adam(1e-3f);
   adam.Step(mlp.Params());
   for (Param* p : mlp.Params()) {
@@ -67,9 +69,10 @@ TEST(TrainingTest, AdamStepChangesParameters) {
     before.insert(before.end(), flat.begin(), flat.end());
   }
   Matrix x = Matrix::Randn(4, 2, 1.0f, &rng);
-  mlp.Forward(x);
+  MlpTape tape;
+  mlp.Forward(x, &tape);
   Matrix ones(4, 1, 1.0f);
-  mlp.Backward(ones);
+  mlp.Backward(x, tape, ones, /*dx=*/nullptr);
   Adam adam(1e-2f);
   adam.Step(mlp.Params());
   std::vector<float> after;

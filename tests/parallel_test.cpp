@@ -166,7 +166,8 @@ std::vector<float> TrainMlpLosses() {
   nn::Adam adam(1e-2f);
   std::vector<float> losses;
   for (int step = 0; step < 25; ++step) {
-    nn::Matrix pred = mlp.Forward(x);
+    nn::MlpTape tape;
+    nn::Matrix pred = mlp.Forward(x, &tape);
     float loss = 0;
     nn::Matrix grad(64, 1);
     for (int r = 0; r < 64; ++r) {
@@ -174,7 +175,7 @@ std::vector<float> TrainMlpLosses() {
       loss += d * d;
       grad.At(r, 0) = 2.0f * d / 64.0f;
     }
-    mlp.Backward(grad);
+    mlp.Backward(x, tape, grad, /*dx=*/nullptr);
     adam.Step(mlp.Params());
     losses.push_back(loss / 64.0f);
   }
