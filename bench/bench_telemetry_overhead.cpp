@@ -9,7 +9,8 @@
 //      with its gate off and on. The "off" numbers are the price every
 //      production call site pays unconditionally; they must stay at a few
 //      nanoseconds (a relaxed load and a branch). The "on" numbers are the
-//      lock-free event-ring push path.
+//      recording path: a write to the thread's registry shard, plus an
+//      append to the thread's span buffer for span primitives.
 //
 //   2. End-to-end ratio: a small build+evaluate workload (the bench_r2
 //      shape: generate, label, build three estimator families, evaluate)
@@ -35,7 +36,6 @@
 #include "src/storage/datagen.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
-#include "src/util/telemetry/event_ring.h"
 #include "src/util/telemetry/flight_recorder.h"
 #include "src/util/telemetry/query_log.h"
 #include "src/util/telemetry/stage_timer.h"
@@ -54,11 +54,11 @@ inline void Consume(T&& value) {
 }
 
 // Best-of-reps ns per iteration of `body(iters)`. `between` runs untimed
-// between reps (ring flush / trace clear, so "on" reps don't accumulate
-// unbounded drained events).
+// between reps (trace clear, so "on" reps don't accumulate unbounded span
+// buffers).
 double TimeNsPerOp(int reps, int iters, const std::function<void(int)>& body,
                    const std::function<void()>& between = {}) {
-  body(iters / 10 + 1);  // warm-up: interning caches, ring registration
+  body(iters / 10 + 1);  // warm-up: handle caches, span buffer registration
   if (between) between();
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
@@ -91,23 +91,20 @@ std::vector<PrimitiveCost> MeasurePrimitives(const std::string& trace_path) {
   telemetry::Counter& counter = registry.counter("bench.overhead.counter");
   telemetry::Histogram& hist = registry.histogram("bench.overhead.hist");
 
-  auto flush = [] {
-    telemetry::FlushEventRings();
-    telemetry::ClearTraceForTesting();
-  };
+  auto clear_trace = [] { telemetry::ClearTraceForTesting(); };
   auto measure = [&](const char* name, const std::function<void(int)>& body,
                      bool needs_trace) {
     PrimitiveCost c;
     c.name = name;
     telemetry::SetMetricsEnabledForTesting(0);
     telemetry::SetTracePathForTesting("");
-    c.off_ns = TimeNsPerOp(5, 200000, body, flush);
+    c.off_ns = TimeNsPerOp(5, 200000, body, clear_trace);
     telemetry::SetMetricsEnabledForTesting(1);
     if (needs_trace) telemetry::SetTracePathForTesting(trace_path.c_str());
-    c.on_ns = TimeNsPerOp(5, 200000, body, flush);
+    c.on_ns = TimeNsPerOp(5, 200000, body, clear_trace);
     telemetry::SetMetricsEnabledForTesting(-1);
     telemetry::SetTracePathForTesting(nullptr);
-    flush();
+    clear_trace();
     costs.push_back(c);
   };
 
@@ -170,9 +167,9 @@ std::vector<PrimitiveCost> MeasurePrimitives(const std::string& trace_path) {
         Consume(telemetry::FlightRecorder::Global().Append(rec));
       }
     };
-    c.off_ns = TimeNsPerOp(5, 200000, body, flush);
+    c.off_ns = TimeNsPerOp(5, 200000, body, clear_trace);
     telemetry::SetFlightRecorderEnabledForTesting(1);
-    c.on_ns = TimeNsPerOp(5, 200000, body, flush);
+    c.on_ns = TimeNsPerOp(5, 200000, body, clear_trace);
     telemetry::SetFlightRecorderEnabledForTesting(0);
     costs.push_back(c);
   }
@@ -231,7 +228,6 @@ int main() {
     telemetry::SetFlightRecorderEnabledForTesting(fr ? 1 : 0);
   };
   auto restore_gates = [] {
-    telemetry::FlushEventRings();
     telemetry::ClearTraceForTesting();
     telemetry::SetMetricsEnabledForTesting(-1);
     telemetry::SetTracePathForTesting(nullptr);
@@ -258,7 +254,6 @@ int main() {
     fr_seconds = std::min(fr_seconds, RunE2eOnce(db, neural));
     set_gates(true, true, true, true);
     full_fr_seconds = std::min(full_fr_seconds, RunE2eOnce(db, neural));
-    telemetry::FlushEventRings();
     telemetry::ClearTraceForTesting();
   }
   restore_gates();
@@ -295,11 +290,6 @@ int main() {
   registry.gauge("telemetry.overhead.e2e_ratio_fr").SetAlways(ratio_fr);
   registry.gauge("telemetry.overhead.e2e_ratio_full_fr")
       .SetAlways(ratio_full_fr);
-  // Informational, deliberately outside the "overhead" watch prefix: the
-  // primitive loops push events far faster than the drainer and the drop
-  // count swings run to run by design.
-  registry.gauge("telemetry.ring.bench_dropped_events")
-      .SetAlways(static_cast<double>(telemetry::DroppedEventCount()));
   if (ratio > 1.05) {
     LCE_LOG(WARN) << "full telemetry overhead ratio " << ratio
                   << " exceeds the 1.05 target";

@@ -34,7 +34,14 @@ BatcherOptions BatcherOptions::FromEnv() {
 }
 
 MicroBatcher::MicroBatcher(const BatcherOptions& options, ExecFn exec)
-    : options_(options), exec_(std::move(exec)) {
+    : options_(options),
+      exec_(std::move(exec)),
+      requests_(telemetry::MetricsRegistry::Global().counter("serve.requests")),
+      batches_(telemetry::MetricsRegistry::Global().counter("serve.batches")),
+      batch_size_(
+          telemetry::MetricsRegistry::Global().histogram("serve.batch_size")),
+      queue_wait_us_(telemetry::MetricsRegistry::Global().histogram(
+          "serve.queue_wait_us")) {
   LCE_CHECK(exec_ != nullptr);
 }
 
@@ -47,11 +54,10 @@ MicroBatcher::Ticket MicroBatcher::Submit(const query::Query& q) {
     exec_(one, &est, &t.model_version);
     LCE_CHECK(est.size() == 1);
     t.estimate = est[0];
-    auto& reg = telemetry::MetricsRegistry::Global();
-    reg.counter("serve.requests").Increment();
-    reg.counter("serve.batches").Increment();
-    reg.histogram("serve.batch_size").Observe(1.0);
-    reg.histogram("serve.queue_wait_us").Observe(0.0);
+    requests_.Increment();
+    batches_.Increment();
+    batch_size_.Observe(1.0);
+    queue_wait_us_.Observe(0.0);
     return t;
   }
 
@@ -122,10 +128,9 @@ void MicroBatcher::RunLeader(std::unique_lock<std::mutex>* lk) {
   exec_(queries, &estimates, &version);
   LCE_CHECK(estimates.size() == queries.size());
 
-  auto& reg = telemetry::MetricsRegistry::Global();
-  reg.counter("serve.requests").Add(static_cast<uint64_t>(take));
-  reg.counter("serve.batches").Increment();
-  reg.histogram("serve.batch_size").Observe(static_cast<double>(take));
+  requests_.Add(static_cast<uint64_t>(take));
+  batches_.Increment();
+  batch_size_.Observe(static_cast<double>(take));
 
   lk->lock();
   for (int i = 0; i < take; ++i) {
@@ -135,7 +140,7 @@ void MicroBatcher::RunLeader(std::unique_lock<std::mutex>* lk) {
     r->ticket.batch_size = take;
     r->ticket.queue_wait_us =
         static_cast<double>(flush_ns - r->enqueue_ns) * 1e-3;
-    reg.histogram("serve.queue_wait_us").Observe(r->ticket.queue_wait_us);
+    queue_wait_us_.Observe(r->ticket.queue_wait_us);
     r->done = true;
   }
 }

@@ -46,6 +46,11 @@
 #include "src/query/query.h"
 
 namespace lce {
+namespace telemetry {
+class Counter;
+class Histogram;
+}  // namespace telemetry
+
 namespace serve {
 
 struct BatcherOptions {
@@ -96,6 +101,11 @@ class MicroBatcher {
 
   const BatcherOptions options_;
   const ExecFn exec_;
+  // serve.* handles, resolved once at construction.
+  telemetry::Counter& requests_;
+  telemetry::Counter& batches_;
+  telemetry::Histogram& batch_size_;
+  telemetry::Histogram& queue_wait_us_;
 
   std::mutex mu_;
   // Split wake channels so an arrival wakes at most the one collecting

@@ -6,6 +6,13 @@
 namespace lce {
 namespace serve {
 
+EstimationService::ModelState::ModelState(const std::string& model_name)
+    : name(model_name),
+      requests(telemetry::MetricsRegistry::Global().counter(
+          "serve." + model_name + ".requests")),
+      explains(telemetry::MetricsRegistry::Global().counter(
+          "serve." + model_name + ".explains")) {}
+
 EstimationService::EstimationService(const storage::Database* db,
                                      const BatcherOptions& options)
     : db_(db), options_(options) {
@@ -20,8 +27,7 @@ uint64_t EstimationService::RegisterModel(
     std::lock_guard<std::mutex> lock(mu_);
     std::unique_ptr<ModelState>& state = states_[name];
     if (state == nullptr) {
-      state = std::make_unique<ModelState>();
-      state->name = name;
+      state = std::make_unique<ModelState>(name);
       ModelState* raw = state.get();
       state->batcher = std::make_unique<MicroBatcher>(
           options_, [this, raw](const std::vector<query::Query>& queries,
@@ -68,9 +74,7 @@ Result<EstimateResponse> EstimationService::Estimate(const std::string& model,
     return Status::NotFound("no model registered as '" + model + "'");
   }
   MicroBatcher::Ticket ticket = state->batcher->Submit(q);
-  telemetry::MetricsRegistry::Global()
-      .counter("serve." + model + ".requests")
-      .Increment();
+  state->requests.Increment();
   EstimateResponse resp;
   resp.estimate = ticket.estimate;
   resp.model = model;
@@ -96,9 +100,7 @@ Result<ExplainResponse> EstimationService::ExplainSql(const std::string& model,
     out.response.estimate =
         entry->estimator->EstimateWithDiagnostics(parsed.value(), &out.record);
   }
-  telemetry::MetricsRegistry::Global()
-      .counter("serve." + model + ".explains")
-      .Increment();
+  state->explains.Increment();
   out.response.model = model;
   out.response.model_version = entry->version;
   out.response.batch_size = 1;

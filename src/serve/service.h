@@ -36,6 +36,10 @@
 #include "src/util/status.h"
 
 namespace lce {
+namespace telemetry {
+class Counter;
+}  // namespace telemetry
+
 namespace serve {
 
 /// One answered request.
@@ -91,7 +95,11 @@ class EstimationService {
   // Per-model runtime state. Stable address once created (unique_ptr in the
   // map); the batcher's exec callback captures the slot pointer.
   struct ModelState {
-    std::string name;
+    explicit ModelState(const std::string& model_name);
+
+    const std::string name;
+    telemetry::Counter& requests;  // serve.<name>.requests
+    telemetry::Counter& explains;  // serve.<name>.explains
     std::mutex exec_mu;  // serializes estimator execution for this model
     std::unique_ptr<MicroBatcher> batcher;
   };

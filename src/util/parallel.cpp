@@ -7,6 +7,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -198,22 +199,31 @@ void ParallelForChunksImpl(
   telemetry::TraceSpan region_span("parallel/region");
   region_span.AddArg("chunks", static_cast<double>(num_chunks));
 
+  // A lane opens its span on its first chunk and closes it before adding
+  // its chunk count to chunks_done, so the caller cannot return while a
+  // lane span (the parent of the spans `fn` opened) is still unrecorded. A
+  // lane that claims no chunk records nothing.
   auto run_chunks = [state, fn_ptr, begin, end, grain, num_chunks] {
-    telemetry::TraceSpan lane_span("parallel/lane");
-    for (;;) {
-      int64_t c = state->next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) return;
-      int64_t b = begin + c * grain;
-      try {
-        (*fn_ptr)(c, b, std::min(end, b + grain));
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(state->mu);
-        if (!state->error) state->error = std::current_exception();
+    int64_t done = 0;
+    {
+      std::optional<telemetry::TraceSpan> lane_span;
+      for (;;) {
+        int64_t c = state->next_chunk.fetch_add(1, std::memory_order_relaxed);
+        if (c >= num_chunks) break;
+        if (!lane_span) lane_span.emplace("parallel/lane");
+        int64_t b = begin + c * grain;
+        try {
+          (*fn_ptr)(c, b, std::min(end, b + grain));
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(state->mu);
+          if (!state->error) state->error = std::current_exception();
+        }
+        ++done;
       }
-      if (state->chunks_done.fetch_add(1) + 1 == num_chunks) {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->cv.notify_all();
-      }
+    }
+    if (done > 0 && state->chunks_done.fetch_add(done) + done == num_chunks) {
+      std::lock_guard<std::mutex> lock(state->mu);
+      state->cv.notify_all();
     }
   };
 

@@ -1,97 +1,21 @@
-// Lock-free per-thread event pipeline for telemetry hot paths.
-//
-// Counter increments, histogram records, and span begin/end used to funnel
-// through mutex-guarded sinks (the registry map on every phase close, the
-// per-thread trace-buffer mutex on every span). That kept telemetry env-gated:
-// too expensive to leave on under production load. This pipeline makes the
-// producer side wait-free: each thread owns a single-producer single-consumer
-// ring of fixed-size POD events; emitting is a couple of relaxed atomic loads,
-// one slot store, and a release store of the head index. No locks, no
-// allocation, no clock reads beyond what the caller already took.
-//
-// Names are interned once (global table behind a mutex, fronted by a
-// thread-local cache) so events carry 32-bit ids instead of strings.
-//
-// A background drainer thread — started lazily with the first ring — empties
-// every ring a few hundred times per second and applies the events: counter
-// and histogram events update MetricsRegistry handles, span events append to
-// the trace stream. When a producer outruns the drainer the ring drops the
-// event and counts it; drops surface as the `telemetry.dropped_events`
-// counter and in run manifests. Ring capacity is `LCE_EVENT_RING_KB` per
-// thread (default 256 KiB, i.e. a few thousand events).
-//
-// Consumers that need everything applied *now* (manifest export, trace
-// export, test snapshots) call FlushEventRings(), which drains synchronously.
+// Compatibility stubs for lcebench/main.cpp, their only caller; delete this
+// header once lcebench stops calling them. Counters, histograms and spans
+// are written to the metrics registry and the per-thread span buffers when
+// they are recorded, so there is nothing to flush and nothing is dropped.
 
 #ifndef LCE_UTIL_TELEMETRY_EVENT_RING_H_
 #define LCE_UTIL_TELEMETRY_EVENT_RING_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 
 namespace lce {
 namespace telemetry {
 
-/// Per-thread ring capacity in bytes: LCE_EVENT_RING_KB * 1024 when set to a
-/// positive integer, else 256 KiB. Rounded down to a power-of-two slot count.
-size_t EventRingCapacityBytes();
+/// No-op: every record is applied when it is made.
+inline void FlushEventRings() {}
 
-/// Overrides the per-thread slot count for rings created *after* the call
-/// (tests exercising drop behavior use a tiny ring on a fresh thread).
-/// n == 0 restores the env-derived capacity.
-void SetEventRingSlotsForTesting(size_t n);
-
-/// Pauses/resumes the background drainer loop (tests). FlushEventRings()
-/// still drains while paused.
-void SetDrainerPausedForTesting(bool paused);
-
-/// Interns `name`, returning its stable process-wide id. Thread-local cache
-/// makes repeat calls on the same thread lock-free.
-uint32_t InternName(std::string_view name);
-
-/// The interned string for `id`. Aborts on an id never returned by
-/// InternName.
-const std::string& InternedNameOf(uint32_t id);
-
-/// Emits a counter increment for the named counter. Wait-free; applied to
-/// MetricsRegistry by the drainer.
-void EmitCounterAdd(uint32_t name_id, uint64_t delta);
-
-/// Emits `count` observations of `value` into the named histogram.
-void EmitHistogram(uint32_t name_id, double value, uint64_t count = 1);
-
-/// Numeric span argument carried inline (at most 2 per ring span; spans with
-/// more take the legacy buffered path in trace.cpp).
-struct SpanArg {
-  uint32_t name_id = 0;
-  double value = 0;
-};
-
-/// Emits a finished span into the trace stream. `tid` is the trace-layer
-/// thread id (telemetry::internal::CurrentTraceTid()).
-void EmitSpanEvent(uint32_t name_id, int64_t start_ns, int64_t end_ns,
-                   uint32_t tid, uint64_t span_id, uint64_t parent_id,
-                   const SpanArg* args, int num_args);
-
-/// Emits a finished ScopedPhase: phase.<key>.{ns,calls} counter increments
-/// (when `metrics_on`) and a span named `key` (when `spans_on`). Interned
-/// ids for `key` are cached thread-locally, so the string is hashed at most
-/// once per (thread, key).
-void EmitPhase(const std::string& key, int64_t start_ns, int64_t end_ns,
-               uint64_t span_id, uint64_t parent_id, bool metrics_on,
-               bool spans_on);
-
-/// Synchronously drains every ring and applies the events. Safe from any
-/// thread, any time (no-op before the first event). Every exporter calls
-/// this before reading the registry or the trace stream.
-void FlushEventRings();
-
-/// Total events dropped so far across all rings (producers outran the
-/// drainer). Also surfaced as the `telemetry.dropped_events` counter after a
-/// flush.
-uint64_t DroppedEventCount();
+/// Always 0: no recording path drops events.
+inline uint64_t DroppedEventCount() { return 0; }
 
 }  // namespace telemetry
 }  // namespace lce

@@ -18,7 +18,6 @@
 #include "src/util/json_writer.h"
 #include "src/util/logging.h"
 #include "src/util/telemetry/drift.h"
-#include "src/util/telemetry/event_ring.h"
 #include "src/util/telemetry/profiler.h"
 #include "src/util/telemetry/run_manifest.h"
 #include "src/util/telemetry/telemetry.h"
@@ -561,9 +560,6 @@ std::string UtcCompactTimestamp() {
 
 Status FlightRecorder::WriteBundleLocked(int kind, const char* detail,
                                          const ForensicRecord* offending) {
-  // Apply pending ring events so the metrics dump and counter deltas are
-  // current as of the trigger.
-  FlushEventRings();
   const std::string root = impl_->BundleRootLocked();
   std::string name = UtcCompactTimestamp() + "-" + TriggerKindName(kind);
   std::string dir = root + "/" + name;

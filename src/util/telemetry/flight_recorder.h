@@ -11,10 +11,9 @@
 // latency, span context — into a process-wide ring of the last N records.
 //
 // Producers never block and never allocate: a record append is one
-// fetch_add to claim a slot plus a seqlock-published struct store (the PR 8
-// event-ring discipline, adapted: where the event ring drops the *newest*
-// event under pressure, a flight recorder keeps the newest and overwrites
-// the *oldest* — the recent past is exactly what a postmortem needs).
+// fetch_add to claim a slot plus a seqlock-published struct store. When the
+// ring is full the newest record overwrites the *oldest* — the recent past
+// is exactly what a postmortem needs.
 // Readers detect torn slots by re-checking the slot sequence and skip them.
 //
 // On a trigger the ring is snapshotted into a versioned bundle directory

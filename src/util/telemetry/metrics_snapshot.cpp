@@ -9,7 +9,6 @@
 
 #include "src/util/fs.h"
 #include "src/util/logging.h"
-#include "src/util/telemetry/event_ring.h"
 #include "src/util/telemetry/telemetry.h"
 
 namespace lce {
@@ -70,7 +69,6 @@ std::string PrometheusName(const std::string& name) {
 }
 
 std::string RenderMetricsSnapshot() {
-  FlushEventRings();
   MetricsRegistry& reg = MetricsRegistry::Global();
   std::vector<std::pair<std::string, double>> series;
   for (const auto& [name, value] : reg.CounterValues()) {

@@ -40,8 +40,7 @@ std::string MetricsSnapshotPath();
 /// restores the env-derived value.
 void SetMetricsSnapshotPathForTesting(const char* path);
 
-/// Renders the registry (after flushing the event rings) as the text
-/// exposition described above.
+/// Renders the registry as the text exposition described above.
 std::string RenderMetricsSnapshot();
 
 /// Sanitizes one metric name for the exposition: "lce_" + name with every

@@ -10,7 +10,6 @@
 
 #include "src/util/fs.h"
 #include "src/util/logging.h"
-#include "src/util/telemetry/event_ring.h"
 #include "src/util/telemetry/telemetry.h"
 
 namespace lce {

@@ -66,7 +66,7 @@ std::vector<ProfileNode> BuildProfile(const std::vector<TraceEvent>& events);
 /// span names are rewritten to ':' to keep the path separator unambiguous.
 std::string ToCollapsed(const std::vector<ProfileNode>& nodes);
 
-/// Flushes the event rings and folds everything recorded so far (tests).
+/// Folds everything recorded so far (tests).
 std::vector<ProfileNode> SnapshotProfileForTesting();
 
 /// Writes the collapsed-stack file to ProfilePath(). OK when profiling is

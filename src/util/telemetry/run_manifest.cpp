@@ -14,7 +14,6 @@
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 #include "src/util/telemetry/drift.h"
-#include "src/util/telemetry/event_ring.h"
 #include "src/util/telemetry/flight_recorder.h"
 #include "src/util/telemetry/memory.h"
 #include "src/util/telemetry/model_card.h"
@@ -111,9 +110,6 @@ const char* BuildGitCommit() { return LCE_GIT_COMMIT; }
 
 std::string RunManifestJson(const std::string& bench_name,
                             double wall_seconds) {
-  // Apply everything still sitting in the event rings so the phase
-  // breakdown and metrics snapshot below are complete.
-  FlushEventRings();
   // Refresh mem.* gauges (when LCE_METRICS is on) so the metrics snapshot
   // below carries the peak RSS bench_diff watches.
   MemoryTracker::Global().SamplePeakRss();
@@ -146,7 +142,6 @@ std::string RunManifestJson(const std::string& bench_name,
   WriteEnvEntry(&w, "LCE_SIMD");
   WriteEnvEntry(&w, "LCE_FASTMATH");
   WriteEnvEntry(&w, "LCE_PROFILE");
-  WriteEnvEntry(&w, "LCE_EVENT_RING_KB");
   WriteEnvEntry(&w, "LCE_FLIGHT_RECORDER");
   WriteEnvEntry(&w, "LCE_FR_QERR_TRIGGER");
   WriteEnvEntry(&w, "LCE_FR_LAT_TRIGGER");
@@ -189,11 +184,6 @@ std::string RunManifestJson(const std::string& bench_name,
   } else {
     w.Null();
   }
-  w.Key("event_ring")
-      .BeginObject()
-      .Key("capacity_bytes").Value(uint64_t{EventRingCapacityBytes()})
-      .Key("dropped_events").Value(DroppedEventCount())
-      .EndObject();
   w.Key("query_log");
   if (QueryLogEnabled()) {
     w.Value(QueryLogPath());

@@ -2,7 +2,6 @@
 
 #include <unordered_map>
 
-#include "src/util/telemetry/event_ring.h"
 #include "src/util/telemetry/flight_recorder.h"
 #include "src/util/telemetry/telemetry.h"
 #include "src/util/telemetry/trace.h"
@@ -21,40 +20,33 @@ struct StageKeyHash {
   }
 };
 
-// (model, stage-literal) -> interned "ce.<model>.stage.<stage>.micros".
-// Keyed on the literal's address: Stage()/Mark() contract requires literals,
-// so repeat calls hit the cache without composing the metric name.
-uint32_t StageHistId(const std::string& model, const char* stage) {
+// (model, stage-literal) -> the "ce.<model>.stage.<stage>.micros" handle,
+// resolved once per thread. Keyed on the literal's address: Stage()/Mark()
+// contract requires literals, so repeat calls hit the cache without
+// composing the metric name.
+Histogram& StageHist(const std::string& model, const char* stage) {
   thread_local std::unordered_map<std::pair<std::string, const char*>,
-                                  uint32_t, StageKeyHash>
+                                  Histogram*, StageKeyHash>
       cache;
   auto key = std::make_pair(model, stage);
   auto it = cache.find(key);
   if (it == cache.end()) {
-    uint32_t id =
-        InternName("ce." + model + ".stage." + stage + ".micros");
-    it = cache.emplace(std::move(key), id).first;
+    Histogram* h = &MetricsRegistry::Global().histogram(
+        "ce." + model + ".stage." + stage + ".micros");
+    it = cache.emplace(std::move(key), h).first;
   }
-  return it->second;
+  return *it->second;
 }
 
-uint32_t StageSpanId(const char* stage) {
-  thread_local std::unordered_map<const void*, uint32_t> cache;
-  auto it = cache.find(stage);
-  if (it == cache.end()) {
-    it = cache.emplace(stage, InternName(std::string("stage/") + stage)).first;
-  }
-  return it->second;
-}
-
-uint32_t LatencyHistId(const std::string& model) {
-  thread_local std::unordered_map<std::string, uint32_t> cache;
+Histogram& LatencyHist(const std::string& model) {
+  thread_local std::unordered_map<std::string, Histogram*> cache;
   auto it = cache.find(model);
   if (it == cache.end()) {
-    it = cache.emplace(model, InternName("ce." + model + ".latency.micros"))
-             .first;
+    Histogram* h =
+        &MetricsRegistry::Global().histogram("ce." + model + ".latency.micros");
+    it = cache.emplace(model, h).first;
   }
-  return it->second;
+  return *it->second;
 }
 
 }  // namespace
@@ -82,15 +74,15 @@ void StageTimer::CloseOpenStage(int64_t now_ns) {
   if (open_stage_ == nullptr) return;
   if (spans_on_) {
     internal::RestoreCurrentSpan(open_parent_id_);
-    EmitSpanEvent(StageSpanId(open_stage_), open_start_ns_, now_ns,
-                  internal::CurrentTraceTid(), open_span_id_, open_parent_id_,
-                  nullptr, 0);
+    internal::AppendCompleteEvent(std::string("stage/") + open_stage_,
+                                  open_start_ns_, now_ns, open_span_id_,
+                                  open_parent_id_, {});
   }
   if (metrics_on_ || fr_on_) {
     double micros = static_cast<double>(now_ns - open_start_ns_) /
                     (1e3 * static_cast<double>(batch_));
     if (metrics_on_) {
-      EmitHistogram(StageHistId(model_, open_stage_), micros, batch_);
+      StageHist(model_, open_stage_).ObserveCountAlways(micros, batch_);
     }
     if (fr_on_) internal::NoteThreadStageSample(open_stage_, micros);
   }
@@ -115,7 +107,7 @@ void StageTimer::Deactivate() {
   if (metrics_on_) {
     double micros = static_cast<double>(now - begin_ns_) /
                     (1e3 * static_cast<double>(batch_));
-    EmitHistogram(LatencyHistId(model_), micros, batch_);
+    LatencyHist(model_).ObserveCountAlways(micros, batch_);
   }
   tls_innermost_timer = prev_;
 }

@@ -3,9 +3,9 @@
 // Every estimator's EstimateImpl/EstimateBatch constructs a StageTimer and
 // marks stage boundaries (encode/featurize -> forward/traverse ->
 // postprocess). Each closed stage feeds the
-// `ce.<model>.stage.<stage>.micros` histogram through the lock-free event
-// ring, and — when span recording is on — emits a `stage/<stage>` trace span
-// nested under the enclosing span, so kernel spans (MatMul,
+// `ce.<model>.stage.<stage>.micros` histogram, whose handle is resolved once
+// per thread, and — when span recording is on — records a `stage/<stage>`
+// trace span nested under the enclosing span, so kernel spans (MatMul,
 // FlatForest::PredictBatch) fold under their stage in the profiler.
 //
 // The timer also records the whole timed window into

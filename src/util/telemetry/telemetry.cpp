@@ -6,9 +6,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <unordered_map>
 
 #include "src/util/json_writer.h"
-#include "src/util/telemetry/event_ring.h"
 #include "src/util/telemetry/trace.h"
 
 namespace lce {
@@ -257,9 +257,6 @@ MetricsRegistry::HistogramSnapshots() const {
 }
 
 void MetricsRegistry::ResetForTesting() {
-  // Apply stale ring events first so they cannot land in the freshly zeroed
-  // registry after this call returns.
-  FlushEventRings();
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) {
     for (auto& cell : c->cells_) cell.value.store(0, std::memory_order_relaxed);
@@ -289,6 +286,29 @@ PhaseScope::~PhaseScope() { tls_phase_scope = std::move(saved_); }
 
 const std::string& PhaseScope::Current() { return tls_phase_scope; }
 
+namespace {
+
+struct PhaseCounters {
+  Counter* ns;
+  Counter* calls;
+};
+
+// The phase.<key>.{ns,calls} handles, resolved once per (thread, key) so a
+// phase close in steady state never takes the registry mutex.
+const PhaseCounters& PhaseCountersFor(const std::string& key) {
+  thread_local std::unordered_map<std::string, PhaseCounters> cache;
+  auto it = cache.find(key);
+  if (it == cache.end()) {
+    MetricsRegistry& registry = MetricsRegistry::Global();
+    PhaseCounters counters{&registry.counter("phase." + key + ".ns"),
+                           &registry.counter("phase." + key + ".calls")};
+    it = cache.emplace(key, counters).first;
+  }
+  return it->second;
+}
+
+}  // namespace
+
 ScopedPhase::ScopedPhase(const char* name)
     : name_(name),
       metrics_on_(MetricsEnabled()),
@@ -305,12 +325,16 @@ ScopedPhase::~ScopedPhase() {
   int64_t end_ns = MonotonicNanos();
   if (trace_on_) internal::RestoreCurrentSpan(parent_span_id_);
   const std::string& scope = PhaseScope::Current();
-  // Counter increments and the span go through the lock-free event ring;
-  // EmitPhase caches the interned ids per (thread, key), so steady state
-  // composes one small string and never touches the registry mutex.
   std::string key = scope.empty() ? std::string(name_) : scope + ":" + name_;
-  EmitPhase(key, start_ns_, end_ns, span_id_, parent_span_id_, metrics_on_,
-            trace_on_);
+  if (metrics_on_) {
+    const PhaseCounters& counters = PhaseCountersFor(key);
+    counters.ns->AddAlways(static_cast<uint64_t>(end_ns - start_ns_));
+    counters.calls->AddAlways(1);
+  }
+  if (trace_on_) {
+    internal::AppendCompleteEvent(std::move(key), start_ns_, end_ns, span_id_,
+                                  parent_span_id_, {});
+  }
 }
 
 }  // namespace telemetry

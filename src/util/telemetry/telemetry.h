@@ -126,8 +126,8 @@ class Histogram {
   void ObserveAlways(double value) { ObserveCountAlways(value, 1); }
 
   /// Records `count` observations of `value` (one bucket add; sum, min, and
-  /// max treat it as `count` repeats). The event-ring drainer uses this to
-  /// apply weighted histogram events.
+  /// max treat it as `count` repeats). StageTimer uses this to record a
+  /// batch's per-item time with weight `batch`.
   void ObserveCountAlways(double value, uint64_t count);
 
   HistogramSnapshot Snapshot() const;
@@ -204,9 +204,10 @@ class PhaseScope {
 };
 
 /// RAII phase timer: on destruction adds elapsed time to the
-/// phase.<scope>:<name>.{ns,calls} counters (when metrics are on) and emits a
-/// trace span (when span recording is on). Both go through the lock-free
-/// event ring. `name` must outlive the object — use a string literal.
+/// phase.<scope>:<name>.{ns,calls} counters (when metrics are on) and records
+/// a trace span (when span recording is on). The counter handles are resolved
+/// once per (thread, key); the span goes to the thread's trace buffer.
+/// `name` must outlive the object — use a string literal.
 class ScopedPhase {
  public:
   explicit ScopedPhase(const char* name);

@@ -11,7 +11,6 @@
 #include "src/util/fs.h"
 #include "src/util/json_writer.h"
 #include "src/util/logging.h"
-#include "src/util/telemetry/event_ring.h"
 #include "src/util/telemetry/profiler.h"
 #include "src/util/telemetry/telemetry.h"
 
@@ -20,12 +19,39 @@ namespace telemetry {
 
 namespace {
 
-// Per-thread event buffer. Registered globally on first use and kept alive
+// Elements per buffer block. A full block is never reallocated, so an
+// append never moves earlier elements and a thread holds at most one
+// part-filled block of each kind.
+constexpr size_t kBlockCapacity = 4096;
+
+template <typename T>
+void AppendToBlocks(std::vector<std::vector<T>>* blocks, T value) {
+  if (blocks->empty() || blocks->back().size() == kBlockCapacity) {
+    blocks->emplace_back().reserve(kBlockCapacity);
+  }
+  blocks->back().push_back(std::move(value));
+}
+
+// A finished span as buffered. Its args go to the buffer's arg blocks, in
+// recording order, so a span keeps no small heap block of its own: kept
+// for the whole run, such blocks are scattered through the recording
+// thread's malloc heap and strand the free memory around them.
+struct SpanRecord {
+  std::string name;
+  int64_t start_ns;
+  int64_t dur_ns;
+  uint64_t id;
+  uint64_t parent_id;
+  size_t num_args;
+};
+
+// Per-thread span buffer. Registered globally on first use and kept alive
 // (shared_ptr) past thread exit so a flush can still read it.
 struct ThreadTraceBuffer {
   uint32_t tid;
   std::string thread_name;
-  std::vector<TraceEvent> events;
+  std::vector<std::vector<SpanRecord>> spans;
+  std::vector<std::vector<std::pair<std::string, double>>> args;
   std::mutex mu;  // owner thread appends; flush/snapshot reads concurrently
 };
 
@@ -33,10 +59,6 @@ struct TraceState {
   std::mutex mu;
   std::vector<std::shared_ptr<ThreadTraceBuffer>> buffers;
   std::atomic<uint32_t> next_tid{1};
-  // Spans drained from the event rings (already carry their tid). Only the
-  // ring consumer appends, under drained_mu.
-  std::mutex drained_mu;
-  std::vector<TraceEvent> drained;
 };
 
 TraceState& State() {
@@ -138,16 +160,11 @@ void AppendCompleteEvent(std::string name, int64_t start_ns, int64_t end_ns,
                          uint64_t id, uint64_t parent_id,
                          std::vector<std::pair<std::string, double>> args) {
   ThreadTraceBuffer& buffer = LocalBuffer();
-  TraceEvent event;
-  event.name = std::move(name);
-  event.start_ns = start_ns;
-  event.dur_ns = end_ns - start_ns;
-  event.tid = buffer.tid;
-  event.id = id;
-  event.parent_id = parent_id;
-  event.args = std::move(args);
   std::lock_guard<std::mutex> lock(buffer.mu);
-  buffer.events.push_back(std::move(event));
+  AppendToBlocks(&buffer.spans, SpanRecord{std::move(name), start_ns,
+                                           end_ns - start_ns, id, parent_id,
+                                           args.size()});
+  for (auto& arg : args) AppendToBlocks(&buffer.args, std::move(arg));
 }
 
 uint64_t BeginSpan() {
@@ -159,14 +176,6 @@ uint64_t BeginSpan() {
 void RestoreCurrentSpan(uint64_t parent_id) {
   tls_current_span_id = parent_id;
 }
-
-void AppendDrainedEvent(TraceEvent event) {
-  TraceState& s = State();
-  std::lock_guard<std::mutex> lock(s.drained_mu);
-  s.drained.push_back(std::move(event));
-}
-
-uint32_t CurrentTraceTid() { return LocalBuffer().tid; }
 
 }  // namespace internal
 
@@ -189,20 +198,8 @@ TraceSpan::TraceSpan(std::string name) : active_(SpanRecordingEnabled()) {
 TraceSpan::~TraceSpan() {
   if (!active_) return;
   internal::RestoreCurrentSpan(parent_id_);
-  int64_t end_ns = MonotonicNanos();
-  if (args_.size() <= 2) {
-    // Hot path: through the lock-free event ring.
-    SpanArg ring_args[2];
-    for (size_t i = 0; i < args_.size(); ++i) {
-      ring_args[i] = {InternName(args_[i].first), args_[i].second};
-    }
-    EmitSpanEvent(InternName(name_), start_ns_, end_ns,
-                  internal::CurrentTraceTid(), id_, parent_id_, ring_args,
-                  static_cast<int>(args_.size()));
-    return;
-  }
-  internal::AppendCompleteEvent(std::move(name_), start_ns_, end_ns, id_,
-                                parent_id_, std::move(args_));
+  internal::AppendCompleteEvent(std::move(name_), start_ns_, MonotonicNanos(),
+                                id_, parent_id_, std::move(args_));
 }
 
 void TraceSpan::AddArg(const char* key, double value) {
@@ -212,32 +209,32 @@ void TraceSpan::AddArg(const char* key, double value) {
 
 namespace {
 
-// Snapshot of every buffer plus the ring-drained stream, events in
-// recording order per source. Drains the event rings first so nothing
-// recorded before the call is missing.
-std::vector<std::pair<TraceEvent, std::string>> CollectEvents() {
-  FlushEventRings();
+// Snapshot of every thread buffer, events in recording order per thread.
+std::vector<TraceEvent> CollectEvents() {
   TraceState& s = State();
   std::vector<std::shared_ptr<ThreadTraceBuffer>> buffers;
   {
     std::lock_guard<std::mutex> lock(s.mu);
     buffers = s.buffers;
   }
-  std::vector<std::pair<TraceEvent, std::string>> out;  // event, thread name
-  std::map<uint32_t, std::string> names_by_tid;
+  std::vector<TraceEvent> out;
   for (const auto& b : buffers) {
     std::lock_guard<std::mutex> lock(b->mu);
-    if (!b->thread_name.empty()) names_by_tid[b->tid] = b->thread_name;
-    for (const TraceEvent& e : b->events) {
-      out.emplace_back(e, b->thread_name);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(s.drained_mu);
-    for (const TraceEvent& e : s.drained) {
-      auto it = names_by_tid.find(e.tid);
-      out.emplace_back(e,
-                       it == names_by_tid.end() ? std::string() : it->second);
+    size_t next_arg = 0;  // index into the concatenated arg blocks
+    for (const auto& block : b->spans) {
+      for (const SpanRecord& r : block) {
+        TraceEvent& e = out.emplace_back();
+        e.name = r.name;
+        e.start_ns = r.start_ns;
+        e.dur_ns = r.dur_ns;
+        e.tid = b->tid;
+        e.id = r.id;
+        e.parent_id = r.parent_id;
+        for (size_t i = 0; i < r.num_args; ++i, ++next_arg) {
+          e.args.push_back(b->args[next_arg / kBlockCapacity]
+                                  [next_arg % kBlockCapacity]);
+        }
+      }
     }
   }
   return out;
@@ -250,10 +247,10 @@ void WriteTraceIfEnabled() { (void)WriteTraceNow(); }
 Status WriteTraceNow() {
   std::string path = TracePath();
   if (path.empty()) return Status::OK();
-  auto events = CollectEvents();
+  std::vector<TraceEvent> events = CollectEvents();
   std::stable_sort(events.begin(), events.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first.start_ns < b.first.start_ns;
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.start_ns < b.start_ns;
                    });
 
   std::string out;
@@ -291,10 +288,10 @@ Status WriteTraceNow() {
   }
   // Parent lookup for cross-thread flow arrows: span id -> (tid, start_ns).
   std::map<uint64_t, std::pair<uint32_t, int64_t>> span_index;
-  for (const auto& [e, thread_name] : events) {
+  for (const TraceEvent& e : events) {
     if (e.id != 0) span_index.emplace(e.id, std::make_pair(e.tid, e.start_ns));
   }
-  for (const auto& [e, thread_name] : events) {
+  for (const TraceEvent& e : events) {
     w.BeginObject()
         .Key("ph").Value("X")
         .Key("name").Value(e.name)
@@ -354,13 +351,10 @@ Status WriteTraceNow() {
 }
 
 std::vector<TraceEvent> SnapshotTraceEventsForTesting() {
-  std::vector<TraceEvent> out;
-  for (auto& [e, name] : CollectEvents()) out.push_back(std::move(e));
-  return out;
+  return CollectEvents();
 }
 
 void ClearTraceForTesting() {
-  FlushEventRings();  // stale ring events must not leak into the next test
   TraceState& s = State();
   std::vector<std::shared_ptr<ThreadTraceBuffer>> buffers;
   {
@@ -369,10 +363,9 @@ void ClearTraceForTesting() {
   }
   for (const auto& b : buffers) {
     std::lock_guard<std::mutex> lock(b->mu);
-    b->events.clear();
+    b->spans.clear();
+    b->args.clear();
   }
-  std::lock_guard<std::mutex> lock(s.drained_mu);
-  s.drained.clear();
 }
 
 }  // namespace telemetry

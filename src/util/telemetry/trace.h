@@ -1,12 +1,13 @@
 // Scoped trace spans with Chrome trace-event JSON export.
 //
 // Setting LCE_TRACE=<path> enables tracing: every TraceSpan (and every
-// telemetry::ScopedPhase) records a complete event ("ph":"X") with wall-clock
-// start, duration, and the recording thread's id into a per-thread buffer
-// (one uncontended mutex acquisition per span; no allocation beyond the
-// event itself). WriteTraceIfEnabled() — called by the bench harness and
-// automatically at process exit — merges the buffers and writes a JSON file
-// loadable by chrome://tracing or https://ui.perfetto.dev.
+// telemetry::ScopedPhase and StageTimer stage) records a complete event
+// ("ph":"X") with wall-clock start, duration, and the recording thread's id
+// into a per-thread buffer (one uncontended mutex acquisition per span; the
+// buffer grows 4096 spans at a time and never moves what it holds).
+// WriteTraceIfEnabled() — called by the bench harness and automatically at
+// process exit — merges the buffers and writes a JSON file loadable by
+// chrome://tracing or https://ui.perfetto.dev.
 //
 // Spans carry ids: each live TraceSpan pushes its id as the thread's
 // "current span", so nested spans record their parent and the hierarchy
@@ -16,11 +17,6 @@
 // time and re-establishes it inside the worker via ScopedTraceParent, so
 // parallel lanes nest under the span that spawned them instead of floating
 // as orphans.
-//
-// Finished spans with at most two numeric args are pushed through the
-// lock-free per-thread event ring (event_ring.h) instead of the buffer
-// mutex; the background drainer lands them in the trace stream. Spans with
-// more args take the legacy buffered path.
 //
 // With LCE_TRACE and LCE_PROFILE unset, constructing a TraceSpan is two
 // relaxed atomic loads plus a branch; nothing is recorded and no clock is
@@ -151,17 +147,11 @@ std::vector<TraceEvent> SnapshotTraceEventsForTesting();
 void ClearTraceForTesting();
 
 namespace internal {
-/// Appends a finished span; used by TraceSpan and telemetry::ScopedPhase.
+/// Appends a finished span to the calling thread's buffer; the one recording
+/// path for TraceSpan, telemetry::ScopedPhase and StageTimer stages.
 void AppendCompleteEvent(std::string name, int64_t start_ns, int64_t end_ns,
                          uint64_t id, uint64_t parent_id,
                          std::vector<std::pair<std::string, double>> args);
-
-/// Appends a span drained from the event rings (event_ring.cpp only).
-void AppendDrainedEvent(TraceEvent event);
-
-/// The calling thread's trace id; ring events carry it so drained spans
-/// attribute to the right thread lane.
-uint32_t CurrentTraceTid();
 
 /// Allocates a fresh span id and installs it as the thread's current span.
 /// Returns the new id; the previous current span (the parent) is read with

@@ -8,7 +8,6 @@
 #include "src/ce/query_driven/lwxgb_model.h"
 #include "src/storage/datagen.h"
 #include "src/util/rng.h"
-#include "src/util/telemetry/event_ring.h"
 #include "src/util/telemetry/flight_recorder.h"
 #include "src/util/telemetry/telemetry.h"
 #include "src/workload/generator.h"
@@ -30,7 +29,6 @@ class StageTimerTest : public ::testing::Test {
     SetFlightRecorderEnabledForTesting(0);
   }
   void TearDown() override {
-    FlushEventRings();
     SetMetricsEnabledForTesting(-1);
     SetFlightRecorderEnabledForTesting(-1);
   }
@@ -53,7 +51,6 @@ TEST_F(StageTimerTest, NestedTimersAttributeToInnermost) {
     // With the inner timer gone, Mark() targets the outer one again.
     StageTimer::Mark("after_inner");
   }
-  FlushEventRings();
   EXPECT_EQ(Snap("ce.NestOuter.stage.outer_work.micros").count - outer0, 1u);
   EXPECT_EQ(Snap("ce.NestInner.stage.inner_work.micros").count - inner0, 1u);
   EXPECT_EQ(Snap("ce.NestInner.stage.marked.micros").count - marked0, 1u);
@@ -68,7 +65,6 @@ TEST_F(StageTimerTest, ZeroDurationStagesRecordCleanly) {
     t.Stage("a");
     t.Stage("b");  // closes "a" with (near-)zero elapsed time
   }
-  FlushEventRings();
   HistogramSnapshot s = Snap(name);
   EXPECT_EQ(s.count - before, 1u);
   EXPECT_GE(s.min, 0.0);
@@ -88,7 +84,6 @@ TEST_F(StageTimerTest, AllGatesOffTimerIsInert) {
     StageTimer::Mark("b");
   }
   StageTimer::Mark("orphan");  // no live timer anywhere: no-op
-  FlushEventRings();
   EXPECT_FALSE(name_materialized);
   EXPECT_EQ(Snap(name).count, before);
 }
@@ -102,7 +97,6 @@ TEST_F(StageTimerTest, BatchWeightScalesObservationCount) {
     StageTimer t([] { return std::string("BatchModel"); }, 16);
     t.Stage("bulk");
   }
-  FlushEventRings();
   // Per-item micros observed with weight 16: batch and per-query paths
   // share one histogram scale.
   EXPECT_EQ(Snap(stage_name).count - s0, 16u);
@@ -122,13 +116,10 @@ TEST_F(StageTimerTest, EstimateBatchWeightsStagesPerQuery) {
   for (const auto& lq : labeled) queries.push_back(lq.q);
 
   const std::string encode = "ce.LW-XGB.stage.encode.micros";
-  FlushEventRings();
   uint64_t before = Snap(encode).count;
   est.EstimateBatch(queries);
-  FlushEventRings();
   EXPECT_EQ(Snap(encode).count - before, queries.size());
   est.EstimateCardinality(queries[0]);
-  FlushEventRings();
   EXPECT_EQ(Snap(encode).count - before, queries.size() + 1);
 }
 

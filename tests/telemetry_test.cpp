@@ -17,7 +17,6 @@
 #include "src/storage/datagen.h"
 #include "src/util/json_writer.h"
 #include "src/util/parallel.h"
-#include "src/util/telemetry/event_ring.h"
 #include "src/util/telemetry/run_manifest.h"
 #include "src/util/telemetry/trace.h"
 #include "src/workload/generator.h"
@@ -102,20 +101,55 @@ TEST_F(TelemetryTest, HistogramUnderflowReportsMinValue) {
   EXPECT_DOUBLE_EQ(snap.p50, Histogram::kMinValue);
 }
 
+TEST_F(TelemetryTest, WeightedObservationsKeepCountSumAndBounds) {
+  Histogram& h = MetricsRegistry::Global().histogram("test.weighted");
+  h.ObserveCountAlways(10.0, 5);  // five queries at 10 each
+  h.ObserveCountAlways(100.0, 1);
+  HistogramSnapshot snap = h.Snapshot();
+  EXPECT_EQ(snap.count, 6u);
+  EXPECT_NEAR(snap.sum, 150.0, 1e-9);
+  EXPECT_DOUBLE_EQ(snap.min, 10.0);
+  EXPECT_DOUBLE_EQ(snap.max, 100.0);
+}
+
 TEST_F(TelemetryTest, ScopedPhaseAccumulatesUnderPhaseScope) {
   {
     PhaseScope scope("EstA");
     ScopedPhase phase("unit/step");
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  // Phase counters flow through the event ring; drain it before reading.
-  FlushEventRings();
   uint64_t ns =
       MetricsRegistry::Global().counter("phase.EstA:unit/step.ns").Value();
   uint64_t calls =
       MetricsRegistry::Global().counter("phase.EstA:unit/step.calls").Value();
   EXPECT_EQ(calls, 1u);
   EXPECT_GE(ns, 1'000'000u);  // at least 1ms of the 2ms sleep
+}
+
+// Recording is lossless: a burst of phase closes on several threads, with
+// metrics and tracing on, lands every call in the counters and every span in
+// the trace.
+TEST_F(TelemetryTest, ConcurrentPhasesRecordEveryCallAndSpan) {
+  SetTracePathForTesting("unused_lossless_path.json");
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      PhaseScope scope("Burst");
+      for (int i = 0; i < kPerThread; ++i) ScopedPhase phase("unit/close");
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(
+      MetricsRegistry::Global().counter("phase.Burst:unit/close.calls").Value(),
+      uint64_t{kThreads * kPerThread});
+  int spans = 0;
+  for (const TraceEvent& e : SnapshotTraceEventsForTesting()) {
+    if (e.name == "Burst:unit/close") ++spans;
+  }
+  EXPECT_EQ(spans, kThreads * kPerThread);
 }
 
 TEST_F(TelemetryTest, PhaseScopeNestsAndRestores) {
@@ -171,6 +205,31 @@ TEST_F(TelemetryTest, TraceSpansRecordNestingAndThreadAttribution) {
   EXPECT_DOUBLE_EQ(inner->args[0].second, 42.0);
   // 8 spans of ~2ms across a 4-lane pool: at least two distinct threads.
   EXPECT_GE(worker_tids.size(), 2u);
+}
+
+// A thread buffers spans and their args in separate fixed-size blocks; each
+// span must come back with exactly its own args after both have filled
+// several blocks.
+TEST_F(TelemetryTest, ArgsStayWithTheirSpansAcrossBufferBlocks) {
+  SetTracePathForTesting("unused_args_path.json");
+  constexpr int kSpans = 10000;
+  for (int i = 0; i < kSpans; ++i) {
+    TraceSpan span("args_span");
+    for (int a = 0; a < i % 3; ++a) {
+      span.AddArg(a == 0 ? "first" : "second", i + a);
+    }
+  }
+  int seen = 0;
+  for (const TraceEvent& e : SnapshotTraceEventsForTesting()) {
+    if (e.name != "args_span") continue;
+    const int i = seen++;
+    ASSERT_EQ(e.args.size(), static_cast<size_t>(i % 3)) << "span " << i;
+    for (size_t a = 0; a < e.args.size(); ++a) {
+      EXPECT_EQ(e.args[a].first, a == 0 ? "first" : "second");
+      EXPECT_DOUBLE_EQ(e.args[a].second, static_cast<double>(i + a));
+    }
+  }
+  EXPECT_EQ(seen, kSpans);
 }
 
 TEST_F(TelemetryTest, TraceExportIsParseableChromeJson) {
