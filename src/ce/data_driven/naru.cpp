@@ -7,6 +7,7 @@
 #include "src/ce/join_formula.h"
 #include "src/nn/adam.h"
 #include "src/util/logging.h"
+#include "src/util/parallel.h"
 #include "src/util/telemetry/stage_timer.h"
 #include "src/util/telemetry/telemetry.h"
 #include "src/util/telemetry/train_log.h"
@@ -239,7 +240,7 @@ Status NaruEstimator::Build(const storage::Database& db,
 
 Status NaruEstimator::UpdateWithData(const storage::Database& db) {
   schema_ = &db.schema();
-  rng_ = Rng(seed_);
+  Rng rng(seed_);
   models_.clear();
   models_.resize(db.num_tables());
   table_rows_.assign(db.num_tables(), 0);
@@ -250,7 +251,7 @@ Status NaruEstimator::UpdateWithData(const storage::Database& db) {
     if (!table.finalized()) {
       return Status::FailedPrecondition("table not finalized");
     }
-    Rng fork = rng_.Fork();
+    Rng fork = rng.Fork();
     models_[t].Fit(table, options_, &fork);
     train_examples_ += static_cast<int64_t>(
         std::min(options_.max_training_rows, table.num_rows()));
@@ -287,6 +288,10 @@ double NaruEstimator::EstimateImpl(const query::Query& q, ExplainRecord* rec) {
   // Progressive sampling is dominated by autoregressive forward passes.
   telemetry::StageTimer stages([this] { return Name(); });
   stages.Stage("forward");
+  // One sampling stream per query, seeded from the query itself: the
+  // estimate is a pure function of (build, query), whatever ran before it
+  // and on whichever thread.
+  Rng rng(parallel::ChunkSeed(seed_, query::Fingerprint(q)));
   NaruSamplingStats total;
   auto filtered_rows = [&](int t) {
     std::vector<std::optional<std::pair<storage::Value, storage::Value>>>
@@ -294,7 +299,7 @@ double NaruEstimator::EstimateImpl(const query::Query& q, ExplainRecord* rec) {
     for (const query::Predicate& p : q.predicates) {
       if (p.col.table == t) ranges[p.col.column] = {{p.lo, p.hi}};
     }
-    double sel = models_[t].Selectivity(ranges, &rng_,
+    double sel = models_[t].Selectivity(ranges, &rng,
                                         rec != nullptr ? &total : nullptr);
     if (rec != nullptr) {
       rec->AddCounter("table_sel.t" + std::to_string(t), sel);

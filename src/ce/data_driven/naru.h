@@ -96,7 +96,7 @@ class NaruEstimator : public Estimator {
  public:
   NaruEstimator() : NaruEstimator(NaruTableModel::Options{}) {}
   explicit NaruEstimator(NaruTableModel::Options options, uint64_t seed = 97)
-      : options_(options), seed_(seed), rng_(seed) {}
+      : options_(options), seed_(seed) {}
 
   std::string Name() const override { return "Naru"; }
   Status Build(const storage::Database& db,
@@ -112,8 +112,7 @@ class NaruEstimator : public Estimator {
   double EstimateImpl(const query::Query& q, ExplainRecord* rec);
 
   NaruTableModel::Options options_;
-  uint64_t seed_;
-  Rng rng_;
+  uint64_t seed_;  // training forks and each query's sampling stream
   const storage::DatabaseSchema* schema_ = nullptr;
   std::vector<NaruTableModel> models_;
   int64_t train_examples_ = -1;

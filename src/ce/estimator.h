@@ -3,6 +3,19 @@
 // Every estimator — traditional, query-driven, data-driven — implements this
 // API so the evaluation harness, the optimizer, and the update experiments can
 // treat the whole zoo interchangeably.
+//
+// Reentrancy contract: after Build() (or an update) returns, estimation
+// writes no member. Every Estimate* call is a pure function of (build,
+// query): the same query gets the same bits on repeat, in any order, and
+// from any number of concurrent threads. Sampling estimators seed a local
+// Rng per query from parallel::ChunkSeed(seed, query::Fingerprint(q))
+// instead of advancing a member stream. The evaluation harness scores
+// queries in parallel and the estimation service runs requests
+// concurrently on this contract; tests/zoo_property_test.cpp checks it for
+// the whole zoo. Build and update calls must not run concurrently with
+// estimation on the same instance. The Estimate* methods are not `const`
+// only because the benchmark's timing decorator (lcebench/) overrides these
+// signatures.
 
 #ifndef LCE_CE_ESTIMATOR_H_
 #define LCE_CE_ESTIMATOR_H_
@@ -59,10 +72,9 @@ class Estimator {
   /// name, query shape, and — where the estimator overrides this — the
   /// per-predicate selectivity breakdown, fallback events, and
   /// model-internal counters behind the number. The returned estimate is
-  /// bit-identical to EstimateCardinality() on the same state: overrides
-  /// share the arithmetic and only *read* already-computed values, so
-  /// internal Rng streams advance exactly as in the plain call. Callers own
-  /// latency/truth/q-error fields. `rec` must be non-null.
+  /// bit-identical to EstimateCardinality() on the same build: overrides
+  /// share the arithmetic and only *read* already-computed values. Callers
+  /// own latency/truth/q-error fields. `rec` must be non-null.
   virtual double EstimateWithDiagnostics(const query::Query& q,
                                          ExplainRecord* rec) {
     rec->estimator = Name();
@@ -87,13 +99,10 @@ class Estimator {
     return Status::Unimplemented(Name() + " does not update from data");
   }
 
-  /// True when EstimateCardinality() is safe to call concurrently from
-  /// multiple threads after Build(): no per-call mutable state, no internal
-  /// Rng. The evaluation harness then scores test queries in parallel;
-  /// per-query estimates are unchanged, so accuracy reports stay identical
-  /// at every thread count. Defaults to false (neural forward passes cache
-  /// activations; samplers draw from a shared Rng).
-  virtual bool ThreadSafeEstimate() const { return false; }
+  /// Always true under the reentrancy contract above; nothing in the
+  /// library calls it. It stays only because the benchmark's timing
+  /// decorator (lcebench/timing_estimator.h) overrides it.
+  virtual bool ThreadSafeEstimate() const { return true; }
 
   /// Approximate size of the built estimator in bytes (statistics, samples,
   /// or model parameters) — the footprint column of experiment R2.

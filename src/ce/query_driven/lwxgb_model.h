@@ -41,8 +41,6 @@ class LwXgbEstimator : public Estimator {
                                  ExplainRecord* rec) override;
   Status UpdateWithQueries(
       const std::vector<query::LabeledQuery>& queries) override;
-  /// Encoding and tree traversal are pure reads of the fitted model.
-  bool ThreadSafeEstimate() const override { return true; }
   uint64_t SizeBytes() const override;
   void DescribeModel(telemetry::ModelCard* card) const override;
 

@@ -78,8 +78,6 @@ class HistogramEstimator : public Estimator {
   double EstimateWithDiagnostics(const query::Query& q,
                                  ExplainRecord* rec) override;
   Status UpdateWithData(const storage::Database& db) override;
-  /// Estimation reads only the built per-column statistics.
-  bool ThreadSafeEstimate() const override { return true; }
   uint64_t SizeBytes() const override;
 
   /// Selectivity of all of `q`'s predicates on `table_index` (independence).

@@ -27,8 +27,6 @@ class KdeEstimator : public Estimator {
                const std::vector<query::LabeledQuery>& training) override;
   double EstimateCardinality(const query::Query& q) override;
   Status UpdateWithData(const storage::Database& db) override;
-  /// Estimation reads only the frozen per-table samples and bandwidths.
-  bool ThreadSafeEstimate() const override { return true; }
   uint64_t SizeBytes() const override;
 
  private:

@@ -61,8 +61,6 @@ class MultiDimHistogramEstimator : public Estimator {
   double EstimateWithDiagnostics(const query::Query& q,
                                  ExplainRecord* rec) override;
   Status UpdateWithData(const storage::Database& db) override;
-  /// Estimation reads only the built grids.
-  bool ThreadSafeEstimate() const override { return true; }
   uint64_t SizeBytes() const override;
 
  private:

@@ -31,8 +31,6 @@ class SamplingEstimator : public Estimator {
   double EstimateWithDiagnostics(const query::Query& q,
                                  ExplainRecord* rec) override;
   Status UpdateWithData(const storage::Database& db) override;
-  /// Estimation is a read-only exact count over the frozen sample database.
-  bool ThreadSafeEstimate() const override { return true; }
   uint64_t SizeBytes() const override;
 
  private:

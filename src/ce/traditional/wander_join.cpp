@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "src/util/logging.h"
+#include "src/util/parallel.h"
+#include "src/util/rng.h"
 #include "src/util/telemetry/stage_timer.h"
 
 namespace lce {
@@ -95,10 +97,14 @@ double WanderJoinEstimator::EstimateCardinality(const query::Query& q) {
   const storage::Table& first = db_->table(q.tables[0]);
   if (first.num_rows() == 0) return 1.0;
   stages.Stage("traverse");
+  // One walk stream per query, seeded from the query itself: the estimate is
+  // a pure function of (build, query), whatever ran before it and on
+  // whichever thread.
+  Rng rng(parallel::ChunkSeed(options_.seed, query::Fingerprint(q)));
   double total = 0;
   std::vector<uint32_t> chosen_row(db_->num_tables(), 0);
   for (int w = 0; w < options_.num_walks; ++w) {
-    uint32_t row = static_cast<uint32_t>(rng_.UniformInt(
+    uint32_t row = static_cast<uint32_t>(rng.UniformInt(
         0, static_cast<int64_t>(first.num_rows()) - 1));
     if (!RowPasses(q, q.tables[0], row)) continue;
     chosen_row[q.tables[0]] = row;
@@ -116,7 +122,7 @@ double WanderJoinEstimator::EstimateCardinality(const query::Query& q) {
         break;
       }
       walk *= static_cast<double>(bucket->size());
-      uint32_t pick = (*bucket)[rng_.Below(
+      uint32_t pick = (*bucket)[rng.Below(
           static_cast<uint32_t>(bucket->size()))];
       if (!RowPasses(q, step.table, pick)) {
         dead = true;

@@ -13,7 +13,6 @@
 
 #include "src/ce/estimator.h"
 #include "src/exec/hash_index.h"
-#include "src/util/rng.h"
 
 namespace lce {
 namespace ce {
@@ -22,12 +21,11 @@ class WanderJoinEstimator : public Estimator {
  public:
   struct Options {
     int num_walks = 600;
-    uint64_t seed = 37;
+    uint64_t seed = 37;  // each query's walk stream derives from it
   };
 
   WanderJoinEstimator() : WanderJoinEstimator(Options{}) {}
-  explicit WanderJoinEstimator(Options options)
-      : options_(options), rng_(options.seed) {}
+  explicit WanderJoinEstimator(Options options) : options_(options) {}
 
   std::string Name() const override { return "WanderJoin"; }
 
@@ -44,7 +42,6 @@ class WanderJoinEstimator : public Estimator {
   bool RowPasses(const query::Query& q, int table, uint32_t row) const;
 
   Options options_;
-  Rng rng_;
   const storage::Database* db_ = nullptr;
   // (table, column) -> index over that join-key column.
   std::map<std::pair<int, int>, exec::HashIndex> indexes_;

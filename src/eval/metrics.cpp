@@ -83,10 +83,11 @@ AccuracyReport EvaluateAccuracy(ce::Estimator* estimator,
   report.qerrors.resize(test.size());
   // Queries score independently. A vectorized EstimateBatch() override wins
   // over per-query parallelism (it amortizes encoding and traverses the
-  // model batched, parallelizing internally); otherwise estimators that
-  // declare a thread-safe inference path are evaluated in parallel chunks
-  // (per-index writes). Overrides are bit-identical to the per-query calls
-  // by contract, so the q-error vector is the same on every path.
+  // model batched, parallelizing internally); otherwise queries are scored
+  // in parallel chunks (per-index writes), which the reentrancy contract
+  // (estimator.h) allows for every estimator. Both paths are bit-identical
+  // to the per-query calls, so the q-error vector is the same on every path
+  // and at every thread count.
   std::vector<double> ests(test.size());
   if (estimator->HasBatchEstimate()) {
     std::vector<query::Query> queries;
@@ -97,7 +98,7 @@ AccuracyReport EvaluateAccuracy(ce::Estimator* estimator,
     for (size_t i = 0; i < test.size(); ++i) {
       report.qerrors[i] = QError(ests[i], test[i].cardinality);
     }
-  } else if (estimator->ThreadSafeEstimate() && parallel::ThreadCount() > 1) {
+  } else {
     parallel::ParallelFor(
         0, static_cast<int64_t>(test.size()), /*grain=*/8,
         [&](int64_t b, int64_t e) {
@@ -108,11 +109,6 @@ AccuracyReport EvaluateAccuracy(ce::Estimator* estimator,
                 QError(ests[static_cast<size_t>(i)], lq.cardinality);
           }
         });
-  } else {
-    for (size_t i = 0; i < test.size(); ++i) {
-      ests[i] = estimator->EstimateCardinality(test[i].q);
-      report.qerrors[i] = QError(ests[i], test[i].cardinality);
-    }
   }
   // Flight-recorder feed: one low-fidelity context record per scored query
   // (kept trigger-ineligible), and — for queries at or above the q-error

@@ -175,7 +175,11 @@ void MatMulTransBRowsNaive(const Matrix& a, const Matrix& b, Matrix* c,
 // traffic without the wide clones.
 // ---------------------------------------------------------------------------
 
-#if defined(__x86_64__) && defined(__has_attribute)
+// ThreadSanitizer builds go without clones: the clones' ifunc resolvers run
+// during relocation, before the TSan runtime is initialized, and crash every
+// binary that links these kernels at start-up.
+#if defined(__x86_64__) && defined(__has_attribute) && \
+    !defined(__SANITIZE_THREAD__)
 #if __has_attribute(target_clones)
 #define LCE_KERNEL_CLONES \
   __attribute__((target_clones("avx512f", "avx2", "default")))

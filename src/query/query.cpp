@@ -105,6 +105,29 @@ Query Restrict(const Query& q, const std::vector<int>& tables,
   return sub;
 }
 
+uint64_t Fingerprint(const Query& q) {
+  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 1099511628211ull;  // FNV-1a prime
+    }
+  };
+  // Each list is prefixed by its length, so no two IRs share a byte stream.
+  mix(q.tables.size());
+  for (int t : q.tables) mix(static_cast<uint64_t>(t));
+  mix(q.join_edges.size());
+  for (int e : q.join_edges) mix(static_cast<uint64_t>(e));
+  mix(q.predicates.size());
+  for (const Predicate& p : q.predicates) {
+    mix(static_cast<uint64_t>(static_cast<uint32_t>(p.col.table)) << 32 |
+        static_cast<uint32_t>(p.col.column));
+    mix(static_cast<uint64_t>(p.lo));
+    mix(static_cast<uint64_t>(p.hi));
+  }
+  return h;
+}
+
 std::string JoinTemplateKey(const Query& q) {
   std::vector<int> edges = q.join_edges;
   std::sort(edges.begin(), edges.end());

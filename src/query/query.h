@@ -8,6 +8,7 @@
 #ifndef LCE_QUERY_QUERY_H_
 #define LCE_QUERY_QUERY_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,12 @@ std::string ToSql(const Query& q, const storage::DatabaseSchema& schema);
 /// only used tables and span them, predicates reference used non-key columns
 /// with lo <= hi.
 Status Validate(const Query& q, const storage::Database& db);
+
+/// FNV-1a hash of the query IR: tables, join edges and predicates, in their
+/// stored order. Equal IRs hash equal on every platform and run. Sampling
+/// estimators seed each query's Rng from it, so their estimates are a pure
+/// function of (build, query).
+uint64_t Fingerprint(const Query& q);
 
 /// A canonical string key for the query's join template (sorted edge ids),
 /// used by the generalization experiment (R8) to split seen/unseen templates.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/util/logging.h"
+#include "src/util/parallel.h"
 #include "src/util/telemetry/telemetry.h"
 
 namespace lce {
@@ -46,21 +47,36 @@ MicroBatcher::MicroBatcher(const BatcherOptions& options, ExecFn exec)
 }
 
 MicroBatcher::Ticket MicroBatcher::Submit(const query::Query& q) {
-  if (!options_.enabled || options_.max_batch <= 1) {
-    // Coalescing off: a batch of one, no queueing.
-    std::vector<query::Query> one{q};
-    std::vector<double> est;
-    Ticket t;
-    exec_(one, &est, &t.model_version);
-    LCE_CHECK(est.size() == 1);
-    t.estimate = est[0];
-    requests_.Increment();
-    batches_.Increment();
-    batch_size_.Observe(1.0);
-    queue_wait_us_.Observe(0.0);
-    return t;
+  if (!options_.enabled || options_.max_batch <= 1) return RunInline(q);
+  // Up to one request per lane runs inline: each gets a core, and nothing
+  // is gained by making it wait for a leader. Past the lanes, the extra
+  // requests would only oversubscribe the cores, so they coalesce.
+  struct Admission {
+    std::atomic<int>& count;
+    ~Admission() { count.fetch_sub(1, std::memory_order_relaxed); }
+  } admission{admitted_};
+  if (admitted_.fetch_add(1, std::memory_order_relaxed) <
+      parallel::ThreadCount()) {
+    return RunInline(q);
   }
+  return Coalesce(q);
+}
 
+MicroBatcher::Ticket MicroBatcher::RunInline(const query::Query& q) {
+  std::vector<query::Query> one{q};
+  std::vector<double> est;
+  Ticket t;
+  exec_(one, &est, &t.model_version);
+  LCE_CHECK(est.size() == 1);
+  t.estimate = est[0];
+  requests_.Increment();
+  batches_.Increment();
+  batch_size_.Observe(1.0);
+  queue_wait_us_.Observe(0.0);
+  return t;
+}
+
+MicroBatcher::Ticket MicroBatcher::Coalesce(const query::Query& q) {
   Request req;
   req.query = &q;
   req.enqueue_ns = telemetry::MonotonicNanos();

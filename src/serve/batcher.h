@@ -1,11 +1,16 @@
 // Cross-request micro-batching for the estimation service.
 //
-// Concurrent clients each submit one query and block for its answer; the
-// batcher coalesces whatever is waiting into one EstimateBatch() call so the
-// SIMD kernel layer sees N×d matrices instead of N separate 1×d forwards.
-// Correctness rests on the kernel bit-identity contract (DESIGN.md §10): a
-// batched forward is bit-identical per row to the per-query loop, so
-// batching changes latency, never answers.
+// Concurrent clients each submit one query and block for its answer. While
+// no more requests are in flight than the thread pool has lanes
+// (parallel::ThreadCount()), a request runs on its caller's thread as a
+// batch of one: estimators are reentrant (ce/estimator.h), so nothing
+// serializes them, and a handoff would only add latency. Past the lanes,
+// the batcher coalesces whatever is waiting into one EstimateBatch() call
+// so the SIMD kernel layer sees N×d matrices instead of N separate 1×d
+// forwards, and the extra clients wait in the queue instead of
+// oversubscribing the cores. Correctness rests on the kernel bit-identity
+// contract (DESIGN.md §10): a batched forward is bit-identical per row to
+// the per-query loop, so neither path changes answers.
 //
 // Leader/follower protocol: the first waiter whose request is undone and
 // sees no active leader becomes the leader. The leader collects requests
@@ -26,16 +31,21 @@
 // instantaneous or last-flush-size target sustains that degenerate orbit).
 // The window resets at each take, so the target tracks clients leaving
 // within one flush; the deadline bounds the wait when concurrency dropped.
+// The target counts only requests on the coalescing path: the ones running
+// inline never join the queue.
 //
 // Knobs (read by BatcherOptions::FromEnv):
 //   LCE_SERVE_BATCH      "0" disables coalescing: every request executes
-//                        alone (the bench's batch-off arm). Default on.
+//                        alone on its caller's thread, however many are in
+//                        flight (the bench's batch-off arm). Default on:
+//                        coalesce only past the pool's lanes.
 //   LCE_SERVE_BATCH_US   flush deadline in microseconds (default 200).
 //   LCE_SERVE_MAX_BATCH  max requests per flush (default 64).
 
 #ifndef LCE_SERVE_BATCHER_H_
 #define LCE_SERVE_BATCHER_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -68,7 +78,8 @@ class MicroBatcher {
   /// Executes one flush: estimates for `queries` in order, plus the model
   /// version the whole batch was answered by (resolved once per flush, so a
   /// concurrent re-register never splits a batch across versions). Called
-  /// with no batcher lock held; the callee serializes model execution.
+  /// with no batcher lock held, from as many threads at once as requests
+  /// run inline, so it must be reentrant.
   using ExecFn = std::function<void(const std::vector<query::Query>& queries,
                                     std::vector<double>* estimates,
                                     uint64_t* version)>;
@@ -83,8 +94,11 @@ class MicroBatcher {
 
   MicroBatcher(const BatcherOptions& options, ExecFn exec);
 
-  /// Blocks until a flush answers `q`. Safe to call from many threads; with
-  /// batching disabled it executes immediately (batch of one).
+  /// Answers `q`; safe to call from many threads. While at most
+  /// parallel::ThreadCount() requests are in flight (this one included), or
+  /// with batching disabled, `q` runs on the caller's thread as a batch of
+  /// one with no queue wait. Otherwise it blocks until a coalesced flush
+  /// answers it.
   Ticket Submit(const query::Query& q);
 
  private:
@@ -94,6 +108,12 @@ class MicroBatcher {
     bool done = false;
     Ticket ticket;
   };
+
+  /// Answers `q` on the caller's thread as a batch of one.
+  Ticket RunInline(const query::Query& q);
+
+  /// Joins the queue and blocks until a flush answers `q`.
+  Ticket Coalesce(const query::Query& q);
 
   /// Collects and executes one flush. Entered with `lk` held and
   /// leader_active_ set; returns with `lk` re-held.
@@ -107,6 +127,10 @@ class MicroBatcher {
   telemetry::Histogram& batch_size_;
   telemetry::Histogram& queue_wait_us_;
 
+  // Submit() calls entered and not returned, inline or queued. Only the
+  // inline-or-coalesce choice reads it, so relaxed order suffices.
+  std::atomic<int> admitted_{0};
+
   std::mutex mu_;
   // Split wake channels so an arrival wakes at most the one collecting
   // leader, and a flush wakes followers once — a single condvar would
@@ -114,7 +138,7 @@ class MicroBatcher {
   std::condition_variable arrival_cv_;  // signaled once per enqueue
   std::condition_variable done_cv_;     // broadcast after each flush
   std::deque<Request*> queue_;  // requests live on their Submit() stacks
-  int inflight_ = 0;            // Submit() calls entered and not returned
+  int inflight_ = 0;            // Coalesce() calls entered and not returned
   int window_peak_ = 0;         // max inflight_ since the last flush take
   bool leader_active_ = false;
 };

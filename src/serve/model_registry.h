@@ -7,8 +7,8 @@
 // batch drains — no reader ever blocks on a writer, and no estimator is
 // destroyed while a flush still uses it.
 //
-// The registry stores models only; per-model runtime state (execution
-// serialization, the micro-batcher) lives in serve::EstimationService.
+// The registry stores models only; per-model runtime state (request
+// counters, the micro-batcher) lives in serve::EstimationService.
 
 #ifndef LCE_SERVE_MODEL_REGISTRY_H_
 #define LCE_SERVE_MODEL_REGISTRY_H_

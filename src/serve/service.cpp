@@ -21,8 +21,11 @@ EstimationService::EstimationService(const storage::Database* db,
 
 uint64_t EstimationService::RegisterModel(
     const std::string& name, std::shared_ptr<ce::Estimator> estimator) {
-  // Create the runtime slot before publishing the model, so a request that
-  // sees the registry entry always finds its batcher.
+  // Publish the build before creating the model's runtime state: a request
+  // that finds the state then always resolves an entry, since entries are
+  // never removed, and a request racing the first registration finds no
+  // state and gets NotFound.
+  const uint64_t version = registry_.Register(name, std::move(estimator));
   {
     std::lock_guard<std::mutex> lock(mu_);
     std::unique_ptr<ModelState>& state = states_[name];
@@ -34,18 +37,18 @@ uint64_t EstimationService::RegisterModel(
                                 std::vector<double>* estimates,
                                 uint64_t* version) {
             // One registry resolve per flush: every request in the batch is
-            // answered by the same model build.
+            // answered by the same model build. The requests found this
+            // state, so the model is published (see above).
             std::shared_ptr<const ModelEntry> entry =
                 registry_.Get(raw->name);
             LCE_CHECK_MSG(entry != nullptr,
                           "flush for unregistered model " << raw->name);
             *version = entry->version;
-            std::lock_guard<std::mutex> exec_lock(raw->exec_mu);
             *estimates = entry->estimator->EstimateBatch(queries);
           });
     }
   }
-  return registry_.Register(name, std::move(estimator));
+  return version;
 }
 
 std::vector<std::pair<std::string, uint64_t>> EstimationService::ListModels()
@@ -60,6 +63,14 @@ EstimationService::ModelState* EstimationService::FindState(
   return it == states_.end() ? nullptr : it->second.get();
 }
 
+namespace {
+
+Status ModelNotFound(const std::string& model) {
+  return Status::NotFound("no model registered as '" + model + "'");
+}
+
+}  // namespace
+
 Result<EstimateResponse> EstimationService::EstimateSql(
     const std::string& model, const std::string& sql) {
   Result<query::Query> parsed = query::ParseSql(sql, *db_);
@@ -70,9 +81,7 @@ Result<EstimateResponse> EstimationService::EstimateSql(
 Result<EstimateResponse> EstimationService::Estimate(const std::string& model,
                                                      const query::Query& q) {
   ModelState* state = FindState(model);
-  if (state == nullptr) {
-    return Status::NotFound("no model registered as '" + model + "'");
-  }
+  if (state == nullptr) return ModelNotFound(model);
   MicroBatcher::Ticket ticket = state->batcher->Submit(q);
   state->requests.Increment();
   EstimateResponse resp;
@@ -89,17 +98,12 @@ Result<ExplainResponse> EstimationService::ExplainSql(const std::string& model,
   Result<query::Query> parsed = query::ParseSql(sql, *db_);
   if (!parsed.ok()) return parsed.status();
   ModelState* state = FindState(model);
-  if (state == nullptr) {
-    return Status::NotFound("no model registered as '" + model + "'");
-  }
-  std::shared_ptr<const ModelEntry> entry = registry_.Get(model);
-  LCE_CHECK(entry != nullptr);
+  std::shared_ptr<const ModelEntry> entry =
+      state == nullptr ? nullptr : registry_.Get(model);
+  if (entry == nullptr) return ModelNotFound(model);
   ExplainResponse out;
-  {
-    std::lock_guard<std::mutex> exec_lock(state->exec_mu);
-    out.response.estimate =
-        entry->estimator->EstimateWithDiagnostics(parsed.value(), &out.record);
-  }
+  out.response.estimate =
+      entry->estimator->EstimateWithDiagnostics(parsed.value(), &out.record);
   state->explains.Increment();
   out.response.model = model;
   out.response.model_version = entry->version;

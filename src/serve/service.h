@@ -5,15 +5,16 @@
 // which is hardened against hostile input), routes them to a named model
 // from the ModelRegistry, and answers with the estimate plus the serving
 // context (model version, batch size, queue wait). Each model gets its own
-// MicroBatcher, so concurrent clients of the same model are coalesced into
-// one vectorized EstimateBatch() flush while different models never wait on
-// each other.
+// MicroBatcher: while a model has no more requests in flight than the
+// thread pool has lanes, each runs on its caller's thread; past that,
+// concurrent clients of the model are coalesced into one vectorized
+// EstimateBatch() flush. Different models never wait on each other.
 //
-// Estimator execution is serialized per model with an exec mutex: neural
-// forward passes reuse activation caches and are not thread-safe
-// (Estimator::ThreadSafeEstimate), and the flush already fans out across
-// the thread pool inside the kernels — cross-batch concurrency would only
-// thrash it. Model versions resolve once per flush, so a Register() swap
+// Nothing serializes estimator execution: every estimator is reentrant
+// (ce/estimator.h), so inline requests and flushes of one model run
+// concurrently. A request finds its model's runtime state, which exists only
+// once the model's first build is published; the build itself resolves once
+// per flush (an inline request is a flush of one), so a Register() swap
 // lands between batches, never inside one.
 
 #ifndef LCE_SERVE_SERVICE_H_
@@ -53,7 +54,7 @@ struct EstimateResponse {
 
 /// EstimateResponse plus the structured "why" (per-predicate selectivities,
 /// fallbacks, model counters). Explain requests bypass the batcher: they
-/// run EstimateWithDiagnostics under the model's exec mutex.
+/// run EstimateWithDiagnostics on the caller's thread.
 struct ExplainResponse {
   EstimateResponse response;
   ce::ExplainRecord record;
@@ -69,6 +70,8 @@ class EstimationService {
 
   /// Publishes `estimator` (already built) as model `name`; re-registering
   /// swaps the model atomically between flushes. Returns the new version.
+  /// Requests find the model only once its first registration has created
+  /// the model's runtime state, just after ListModels() starts listing it.
   uint64_t RegisterModel(const std::string& name,
                          std::shared_ptr<ce::Estimator> estimator);
 
@@ -77,8 +80,9 @@ class EstimationService {
 
   /// Parses `sql` against the service database and estimates it with
   /// `model`. Malformed SQL and unknown models return a Status — never a
-  /// crash — making this safe as the untrusted-input entry point. Blocks
-  /// until the micro-batcher flushes the request.
+  /// crash — making this safe as the untrusted-input entry point; so does a
+  /// request that races the model's first registration. Blocks until the
+  /// micro-batcher answers the request.
   Result<EstimateResponse> EstimateSql(const std::string& model,
                                        const std::string& sql);
 
@@ -100,11 +104,13 @@ class EstimationService {
     const std::string name;
     telemetry::Counter& requests;  // serve.<name>.requests
     telemetry::Counter& explains;  // serve.<name>.explains
-    std::mutex exec_mu;  // serializes estimator execution for this model
     std::unique_ptr<MicroBatcher> batcher;
   };
 
-  /// Looks up (never creates) the runtime state for `model`.
+  /// Looks up (never creates) the runtime state for `model`. RegisterModel
+  /// creates it only after publishing the model's first build, and registry
+  /// entries are never removed, so once this finds a state every resolve
+  /// of the model finds a build.
   ModelState* FindState(const std::string& model) const;
 
   const storage::Database* const db_;

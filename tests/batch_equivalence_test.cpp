@@ -4,8 +4,8 @@
 // coalescing requests into one vectorized flush may change latency, never
 // answers. Vectorized overrides (FCN, Linear, MSCN, FCN+Pool, RNN, LSTM,
 // LW-XGB) inherit it from the kernel bit-identity contract (DESIGN.md §10);
-// everyone else uses the default loop, which must also hold for estimators
-// that advance internal Rng state per call.
+// everyone else uses the default loop, which must also hold for the
+// estimators that sample per query.
 
 #include <cmath>
 #include <memory>
@@ -82,9 +82,8 @@ class BatchEquivalenceTest : public ::testing::TestWithParam<ZooCase> {};
 TEST_P(BatchEquivalenceTest, BatchMatchesLoopBitwiseAtOneAndFourThreads) {
   const Env& env = GetEnv(GetParam().db_index);
 
-  // Three identically-seeded instances: Rng-bearing estimators (samplers)
-  // advance state per estimate, so the loop reference and each batch run
-  // need their own instance with exactly one estimation pass.
+  // Three identically-seeded instances, one per pass: the batch runs are
+  // also compared against builds that never estimated before.
   auto loop_inst = MakeEstimator(GetParam().estimator, Fast(), 11);
   auto batch1_inst = MakeEstimator(GetParam().estimator, Fast(), 11);
   auto batch4_inst = MakeEstimator(GetParam().estimator, Fast(), 11);

@@ -130,9 +130,9 @@ TEST_F(QueryLogTest, ExecutorLogsOnlyWhenOptedIn) {
 }
 
 TEST_F(QueryLogTest, EstimatesUnchangedByLogging) {
-  // A progressive-sampling estimator (rng consumed per estimate) run through
-  // the instrumented latency path must produce the same estimates a twin
-  // produces on the plain path with the sink disabled.
+  // A progressive-sampling estimator run through the instrumented latency
+  // path must produce the same estimates a twin produces on the plain path
+  // with the sink disabled.
   auto db = storage::datagen::Generate(
       storage::datagen::SyntheticPairSpec(8000, 30, 0.5, 0.3), 6);
   workload::WorkloadOptions opts;

@@ -1,11 +1,16 @@
 // Estimation service: registry versioning and atomic swap, micro-batcher
-// flush semantics (bypass, coalescing, max-batch cap, adaptive single-client
-// fast path), and the SQL front end end-to-end — including that serving a
-// query through the batched path answers bit-identically to calling the
-// estimator directly.
+// flush semantics (bypass, inline within the pool's lanes, coalescing past
+// them, max-batch cap, adaptive single-client fast path), and the SQL front
+// end end-to-end — including that serving a query answers bit-identically
+// to calling the estimator directly, also while the model is re-registered,
+// and that a request racing a model's first registration gets a Status.
 
 #include <atomic>
+#include <bit>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -16,6 +21,7 @@
 #include "src/serve/model_registry.h"
 #include "src/serve/service.h"
 #include "src/storage/datagen.h"
+#include "src/util/parallel.h"
 #include "src/workload/generator.h"
 
 namespace lce {
@@ -44,6 +50,13 @@ query::Query OneTableQuery() {
   q.tables = {0};
   return q;
 }
+
+// Pins the pool to `lanes` lanes, the batcher's inline limit, and restores
+// the default on scope exit so a failing case cannot leak it.
+struct LaneGuard {
+  explicit LaneGuard(int lanes) { parallel::SetThreadCountForTesting(lanes); }
+  ~LaneGuard() { parallel::SetThreadCountForTesting(0); }
+};
 
 TEST(ModelRegistryTest, RegisterBumpsVersionAndSwapsAtomically) {
   ModelRegistry registry;
@@ -99,23 +112,148 @@ TEST(MicroBatcherTest, DisabledExecutesEveryRequestAlone) {
 }
 
 TEST(MicroBatcherTest, LoneClientDoesNotWaitOutTheDeadline) {
+  // One lane, held by a first request that runs inline until released, so
+  // the second request takes the coalescing path alone.
+  LaneGuard lanes(1);
   BatcherOptions opts;
-  opts.deadline_us = 5'000'000;  // 5s: a deadline wait would hang the test
+  opts.deadline_us = 5'000'000;  // 5s: a deadline wait shows in queue_wait
+  std::mutex mu;
+  std::condition_variable cv;
+  int calls = 0;
+  bool release = false;
   MicroBatcher batcher(opts, [&](const std::vector<query::Query>& queries,
                                  std::vector<double>* estimates,
                                  uint64_t* version) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (++calls == 1) {
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(10), [&] { return release; });
+    }
     estimates->assign(queries.size(), 1.0);
     *version = 1;
   });
   query::Query q = OneTableQuery();
+  std::thread holder([&] { batcher.Submit(q); });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return calls == 1; });
+  }
   // The adaptive target sees one in-flight request already queued and
-  // flushes immediately; finishing at all (within the test timeout) proves
-  // the fast path.
+  // flushes it at once instead of waiting out the deadline.
   MicroBatcher::Ticket t = batcher.Submit(q);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  holder.join();
   EXPECT_EQ(t.batch_size, 1);
+  EXPECT_LT(t.queue_wait_us, 1e6);
+}
+
+TEST(MicroBatcherTest, RequestsWithinTheLanesRunInlineAndConcurrently) {
+  constexpr int kClients = 4;
+  LaneGuard lanes(kClients);
+  BatcherOptions opts;
+  opts.deadline_us = 5'000'000;
+  std::mutex mu;
+  std::condition_variable cv;
+  int inside = 0;
+  bool all_inside = false;
+  MicroBatcher batcher(opts, [&](const std::vector<query::Query>& queries,
+                                 std::vector<double>* estimates,
+                                 uint64_t* version) {
+    {
+      // Each call waits until all four are inside at once, which only
+      // happens if nothing serializes them.
+      std::unique_lock<std::mutex> lock(mu);
+      if (++inside == kClients) all_inside = true;
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(10), [&] { return all_inside; });
+    }
+    estimates->assign(queries.size(), 2.0);
+    *version = 1;
+  });
+  query::Query q = OneTableQuery();
+  std::vector<MicroBatcher::Ticket> tickets(kClients);
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] { tickets[i] = batcher.Submit(q); });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_TRUE(all_inside) << "requests within the lanes were serialized";
+  for (const MicroBatcher::Ticket& t : tickets) {
+    EXPECT_EQ(t.estimate, 2.0);
+    EXPECT_EQ(t.batch_size, 1);
+    EXPECT_EQ(t.queue_wait_us, 0.0);
+  }
+}
+
+TEST(MicroBatcherTest, RequestsPastTheLanesCoalesce) {
+  LaneGuard lanes(2);
+  BatcherOptions opts;
+  opts.deadline_us = 50'000;
+  std::mutex mu;
+  std::condition_variable cv;
+  int entered = 0;
+  bool open = false;
+  MicroBatcher batcher(opts, [&](const std::vector<query::Query>& queries,
+                                 std::vector<double>* estimates,
+                                 uint64_t* version) {
+    {
+      // Every call holds its requests in flight until the gate opens.
+      std::unique_lock<std::mutex> lock(mu);
+      ++entered;
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(10), [&] { return open; });
+    }
+    estimates->assign(queries.size(), 3.0);
+    *version = 1;
+  });
+  query::Query q = OneTableQuery();
+  constexpr int kClients = 8;
+  std::vector<MicroBatcher::Ticket> tickets(kClients);
+  std::vector<std::thread> clients;
+  auto start = [&](int i) {
+    clients.emplace_back([&, i] { tickets[i] = batcher.Submit(q); });
+  };
+  auto await_entered = [&](int n) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered == n; });
+  };
+  // Clients 0 and 1 take both lanes and run inline.
+  start(0);
+  start(1);
+  await_entered(2);
+  // Client 2 finds the lanes busy, queues, and leads a flush of itself.
+  start(2);
+  await_entered(3);
+  // Clients 3..7 queue behind that flush.
+  for (int i = 3; i < kClients; ++i) start(i);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+  }
+  cv.notify_all();
+  for (std::thread& t : clients) t.join();
+
+  for (int i = 0; i < kClients; ++i) EXPECT_EQ(tickets[i].estimate, 3.0);
+  for (int i : {0, 1}) {
+    EXPECT_EQ(tickets[i].batch_size, 1) << i;
+    EXPECT_EQ(tickets[i].queue_wait_us, 0.0) << i;
+  }
+  EXPECT_EQ(tickets[2].batch_size, 1);
+  for (int i = 3; i < kClients; ++i) {
+    EXPECT_EQ(tickets[i].batch_size, kClients - 3) << i;
+    EXPECT_GT(tickets[i].queue_wait_us, 0.0) << i;
+  }
+  EXPECT_EQ(entered, 4);  // two inline calls, then two flushes
 }
 
 TEST(MicroBatcherTest, CoalescesConcurrentClientsUpToMaxBatch) {
+  // One lane: the first client runs inline and every other one coalesces.
+  LaneGuard lanes(1);
   BatcherOptions opts;
   opts.max_batch = 4;
   opts.deadline_us = 200'000;
@@ -275,6 +413,135 @@ TEST_F(ServiceTest, BatchedServingIsBitIdenticalToDirectCalls) {
       EXPECT_EQ(got[c][i], expected[i]) << "client " << c << " query " << i;
     }
   }
+}
+
+// A request that arrives while its model's first RegisterModel is still
+// running either gets NotFound or the registered model's answer, never a
+// crash: a request that finds the model's state must find a published build.
+TEST_F(ServiceTest, RequestRacingFirstRegistrationGetsNotFoundOrAnAnswer) {
+  const query::Query q = OneTableQuery();
+  constexpr int kEstimators = 3;  // clients calling Estimate
+  for (int trial = 0; trial < 50; ++trial) {
+    EstimationService service(db_.get());
+    std::atomic<bool> stop{false};
+    std::atomic<int> spinning{0};
+    std::atomic<int> answered{0};
+    std::atomic<int> bad{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kEstimators; ++c) {
+      clients.emplace_back([&] {
+        bool counted = false;
+        while (!stop.load()) {
+          auto r = service.Estimate("m", q);
+          if (r.ok()) {
+            if (r.value().estimate != 7.0) bad.fetch_add(1);
+            answered.fetch_add(1);
+          } else if (r.status().code() != StatusCode::kNotFound) {
+            bad.fetch_add(1);
+          }
+          if (!counted) spinning.fetch_add(1);
+          counted = true;
+        }
+      });
+    }
+    // One more client takes the explain path.
+    clients.emplace_back([&] {
+      while (!stop.load()) {
+        auto r = service.ExplainSql("m", "SELECT COUNT(*) FROM customer;");
+        if (r.ok() ? r.value().response.estimate != 7.0
+                   : r.status().code() != StatusCode::kNotFound) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+    // Register only once every Estimate client is looping.
+    while (spinning.load() < kEstimators) std::this_thread::yield();
+    service.RegisterModel("m", std::make_shared<ConstEstimator>(7.0));
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (answered.load() < kEstimators &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    stop.store(true);
+    for (std::thread& t : clients) t.join();
+    EXPECT_EQ(bad.load(), 0) << "trial " << trial;
+    EXPECT_GE(answered.load(), kEstimators) << "trial " << trial;
+  }
+}
+
+// Clients of one model keep getting the exact answer of the build that
+// their response names while another thread swaps between two builds. One
+// lane and six clients: requests run both inline and coalesced.
+TEST_F(ServiceTest, AnswersStayBitIdenticalWhileAnotherThreadReRegisters) {
+  workload::WorkloadOptions wopts;
+  wopts.max_joins = 2;
+  workload::WorkloadGenerator gen(db_.get(), wopts);
+  Rng rng(6);
+  std::vector<query::LabeledQuery> train = gen.GenerateLabeled(200, &rng);
+  std::vector<query::Query> test;
+  for (const auto& lq : gen.GenerateLabeled(24, &rng)) test.push_back(lq.q);
+
+  ce::NeuralOptions fast;
+  fast.epochs = 4;
+  fast.hidden_dim = 16;
+  std::shared_ptr<ce::Estimator> builds[2] = {
+      ce::MakeEstimator("FCN", fast, 11), ce::MakeEstimator("FCN", fast, 12)};
+  std::vector<double> expected[2];
+  for (int b = 0; b < 2; ++b) {
+    ASSERT_TRUE(builds[b]->Build(*db_, train).ok());
+    expected[b] = builds[b]->EstimateBatch(test);
+  }
+  ASSERT_NE(expected[0], expected[1]);
+
+  LaneGuard lanes(1);
+  EstimationService service(db_.get(), BatcherOptions{});
+  // Odd versions serve builds[0], even versions builds[1].
+  service.RegisterModel("fcn", builds[0]);
+  std::atomic<bool> done{false};
+  std::thread registrar([&] {
+    for (int v = 2; !done.load(); ++v) {
+      service.RegisterModel("fcn", builds[(v - 1) % 2]);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  constexpr int kClients = 6;
+  constexpr int kRounds = 20;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> queued{0};
+  std::atomic<int> batched{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int r = 0; r < kRounds; ++r) {
+        for (size_t k = 0; k < test.size(); ++k) {
+          const size_t i = (k + static_cast<size_t>(c) * 5) % test.size();
+          auto resp = service.Estimate("fcn", test[i]);
+          if (!resp.ok()) {
+            mismatches.fetch_add(1);
+            continue;
+          }
+          const EstimateResponse& e = resp.value();
+          const double want = expected[(e.model_version - 1) % 2][i];
+          if (std::bit_cast<uint64_t>(e.estimate) !=
+              std::bit_cast<uint64_t>(want)) {
+            mismatches.fetch_add(1);
+          }
+          if (e.queue_wait_us > 0) queued.fetch_add(1);
+          if (e.batch_size > 1) batched.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  done.store(true);
+  registrar.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(service.ListModels()[0].second, 2u) << "no swap overlapped";
+  // Informational: how many answers took the queue, and how many came from
+  // flushes of more than one request.
+  RecordProperty("queued_answers", queued.load());
+  RecordProperty("batched_answers", batched.load());
 }
 
 }  // namespace

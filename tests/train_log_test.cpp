@@ -340,8 +340,8 @@ TEST_F(TrainLogTest, EstimatesBitIdenticalWithTrainLogOnAndOff) {
   auto logged_naru = ce::MakeEstimator("Naru", {}, 9);
   ASSERT_TRUE(logged_naru->Build(*db_, {}).ok());
   for (size_t i = 0; i < test_.size(); ++i) {
-    // Naru's estimator consumes rng per estimate; compare fresh twins in
-    // lockstep on the same query sequence.
+    // Naru samples per query; twins built with and without the log must
+    // agree query by query.
     EXPECT_EQ(logged_naru->EstimateCardinality(test_[i].q),
               plain_naru->EstimateCardinality(test_[i].q))
         << i;

@@ -1,13 +1,23 @@
 // Zoo-wide invariants: every estimator, on every study database shape, must
 // produce finite estimates >= 1 bounded by the join-size upper bound, report
-// a positive footprint, and behave deterministically for a fixed seed.
+// a positive footprint, and behave deterministically for a fixed seed. The
+// reentrancy contract (ce/estimator.h) is checked the same way: an estimate
+// is a pure function of (build, query), so repeating a query, reordering the
+// test set, or estimating from four threads at once returns the same bits.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/ce/factory.h"
 #include "src/storage/datagen.h"
+#include "src/util/parallel.h"
 #include "src/workload/generator.h"
 
 namespace lce {
@@ -90,6 +100,93 @@ TEST_P(ZooPropertyTest, EstimatesAreSaneAndDeterministic) {
   // Wander Join on a join-free schema legitimately stores no indexes.
   if (!(GetParam().estimator == "WanderJoin" && GetParam().db_index == 0)) {
     EXPECT_GT(a->SizeBytes(), 0u);
+  }
+}
+
+// One built instance per case, shared by the reentrancy tests below: they
+// check that estimating never changes what the instance answers next.
+Estimator* Built(const ZooCase& c) {
+  static std::map<std::pair<std::string, int>, std::unique_ptr<Estimator>>
+      built;
+  std::unique_ptr<Estimator>& e = built[{c.estimator, c.db_index}];
+  if (e == nullptr) {
+    const Env& env = GetEnv(c.db_index);
+    e = MakeEstimator(c.estimator, Fast(), 11);
+    EXPECT_TRUE(e->Build(*env.db, env.train).ok()) << c.estimator;
+  }
+  return e.get();
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST_P(ZooPropertyTest, RepeatedQueryGetsTheSameBits) {
+  const Env& env = GetEnv(GetParam().db_index);
+  Estimator* est = Built(GetParam());
+  for (size_t i = 0; i < env.test.size(); ++i) {
+    const double first = est->EstimateCardinality(env.test[i].q);
+    const double again = est->EstimateCardinality(env.test[i].q);
+    EXPECT_EQ(Bits(first), Bits(again))
+        << GetParam().estimator << " query " << i << ": " << first << " vs "
+        << again;
+  }
+}
+
+TEST_P(ZooPropertyTest, TestSetOrderDoesNotChangeAnyAnswer) {
+  const Env& env = GetEnv(GetParam().db_index);
+  Estimator* est = Built(GetParam());
+  const size_t n = env.test.size();
+  std::vector<double> forward(n), reversed(n);
+  for (size_t i = 0; i < n; ++i) {
+    forward[i] = est->EstimateCardinality(env.test[i].q);
+  }
+  for (size_t i = n; i-- > 0;) {
+    reversed[i] = est->EstimateCardinality(env.test[i].q);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(Bits(forward[i]), Bits(reversed[i]))
+        << GetParam().estimator << " query " << i << ": " << forward[i]
+        << " vs " << reversed[i];
+  }
+}
+
+// Restores the default pool on scope exit so a failing case cannot leak a
+// pinned pool into the rest of the test binary.
+struct ThreadCountGuard {
+  ~ThreadCountGuard() { parallel::SetThreadCountForTesting(0); }
+};
+
+TEST_P(ZooPropertyTest, FourConcurrentThreadsMatchASequentialPass) {
+  const Env& env = GetEnv(GetParam().db_index);
+  Estimator* est = Built(GetParam());
+  const size_t n = env.test.size();
+  std::vector<double> sequential(n);
+  for (size_t i = 0; i < n; ++i) {
+    sequential[i] = est->EstimateCardinality(env.test[i].q);
+  }
+  // Four pool lanes at any LCE_THREADS, so estimators whose kernels fan out
+  // share the pool between the four callers.
+  ThreadCountGuard guard;
+  parallel::SetThreadCountForTesting(4);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<double>> got(kThreads, std::vector<double>(n));
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        // Staggered starts: the threads estimate different queries at once.
+        for (size_t k = 0; k < n; ++k) {
+          const size_t i = (k + static_cast<size_t>(t) * n / kThreads) % n;
+          got[t][i] = est->EstimateCardinality(env.test[i].q);
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(Bits(got[t][i]), Bits(sequential[i]))
+          << GetParam().estimator << " thread " << t << " query " << i;
+    }
   }
 }
 
