@@ -1,9 +1,5 @@
 #include "src/ce/query_driven/flat_models.h"
 
-#include <algorithm>
-
-#include "src/util/telemetry/stage_timer.h"
-
 namespace lce {
 namespace ce {
 
@@ -17,25 +13,42 @@ FlatEstimator::NewWorkspace() const {
   return std::make_unique<FlatWorkspace>();
 }
 
-nn::Matrix FlatEstimator::Forward(QueryBatch queries, Workspace* ws) const {
-  telemetry::StageTimer::Mark("encode");
-  nn::Matrix x(static_cast<int>(queries.size()),
-               encoder().flat_dim_for(options_.flat_variant));
-  for (size_t i = 0; i < queries.size(); ++i) {
-    std::vector<float> row = encoder().FlatEncode(*queries[i],
-                                                  options_.flat_variant);
-    std::copy(row.begin(), row.end(), x.RowPtr(static_cast<int>(i)));
-  }
-  telemetry::StageTimer::Mark("forward");
-  if (ws == nullptr) return net_->Forward(x);
+void FlatEstimator::ReserveWorkspace(QueryBatch queries, bool training,
+                                     Workspace* ws) const {
   auto* w = static_cast<FlatWorkspace*>(ws);
-  w->x = std::move(x);
+  const int rows = static_cast<int>(queries.size());
+  w->x.Reserve(rows, encoder().flat_dim_for(options_.flat_variant));
+  net_->Reserve(rows, training, &w->tape);
+}
+
+void FlatEstimator::Encode(QueryBatch queries, Workspace* ws) const {
+  auto* w = static_cast<FlatWorkspace*>(ws);
+  w->x.Resize(static_cast<int>(queries.size()),
+              encoder().flat_dim_for(options_.flat_variant));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    encoder().FlatEncodeInto(*queries[i], options_.flat_variant,
+                             w->x.RowPtr(static_cast<int>(i)));
+  }
+}
+
+const nn::Matrix& FlatEstimator::Forward(Workspace* ws, bool) const {
+  auto* w = static_cast<FlatWorkspace*>(ws);
   return net_->Forward(w->x, &w->tape);
 }
 
-void FlatEstimator::Backward(const nn::Matrix& dpred, Workspace* ws) {
+void FlatEstimator::BackwardChain(Workspace* ws) const {
   auto* w = static_cast<FlatWorkspace*>(ws);
-  net_->Backward(w->x, w->tape, dpred, /*dx=*/nullptr);
+  net_->BackwardChain(w->dpred, &w->tape, /*dx=*/nullptr);
+}
+
+void FlatEstimator::AddGradSums(std::span<Workspace* const> blocks,
+                                nn::GradSums* sums) {
+  std::vector<nn::MlpBlock> mlp_blocks;
+  for (Workspace* ws : blocks) {
+    auto* w = static_cast<FlatWorkspace*>(ws);
+    mlp_blocks.push_back({&w->x, &w->tape});
+  }
+  net_->AddGradSums(mlp_blocks, sums);
 }
 
 void LinearEstimator::InitModel(Rng* rng) {

@@ -21,8 +21,13 @@ class FlatEstimator : public NeuralQueryDrivenEstimator {
 
  protected:
   std::unique_ptr<Workspace> NewWorkspace() const override;
-  nn::Matrix Forward(QueryBatch queries, Workspace* ws) const override;
-  void Backward(const nn::Matrix& dpred, Workspace* ws) override;
+  void ReserveWorkspace(QueryBatch queries, bool training,
+                        Workspace* ws) const override;
+  void Encode(QueryBatch queries, Workspace* ws) const override;
+  const nn::Matrix& Forward(Workspace* ws, bool training) const override;
+  void BackwardChain(Workspace* ws) const override;
+  void AddGradSums(std::span<Workspace* const> blocks,
+                   nn::GradSums* sums) override;
   std::vector<nn::Param*> Params() override { return net_->Params(); }
   size_t NumParams() const override { return net_ ? net_->NumParams() : 0; }
 

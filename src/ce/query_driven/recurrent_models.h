@@ -5,13 +5,13 @@
 
 #include <cmath>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/ce/query_driven/neural_base.h"
 #include "src/nn/dense.h"
 #include "src/nn/recurrent.h"
-#include "src/util/telemetry/stage_timer.h"
 
 namespace lce {
 namespace ce {
@@ -34,37 +34,72 @@ class RecurrentEstimatorBase : public NeuralQueryDrivenEstimator {
     return std::make_unique<SequenceWorkspace>();
   }
 
-  nn::Matrix Forward(QueryBatch queries, Workspace* ws) const override {
-    telemetry::StageTimer::Mark("encode");
-    SequenceWorkspace local;
-    SequenceWorkspace& w =
-        ws != nullptr ? static_cast<SequenceWorkspace&>(*ws) : local;
-    w.seqs.clear();
-    for (const query::Query* q : queries) {
-      w.seqs.push_back(nn::Matrix::Stack(encoder().SequenceEncode(*q)));
+  void ReserveWorkspace(QueryBatch queries, bool training,
+                        Workspace* ws) const override {
+    auto& w = static_cast<SequenceWorkspace&>(*ws);
+    const int rows = static_cast<int>(queries.size());
+    if (static_cast<int>(w.seqs.size()) < rows) w.seqs.resize(rows);
+    std::vector<int> lengths;
+    for (int i = 0; i < rows; ++i) {
+      lengths.push_back(encoder().SequenceLength(*queries[i]));
+      w.seqs[i].Reserve(lengths.back(), encoder().seq_token_dim());
     }
-    telemetry::StageTimer::Mark("forward");
-    // One length-packed time-major pass over all sequences, then one
-    // multi-row head pass and the sigmoid.
-    w.hs = cell_->Forward(w.seqs, ws != nullptr ? &w.cell : nullptr);
-    nn::Matrix out = head_->Forward(w.hs);
-    for (int i = 0; i < out.rows(); ++i) {
-      out.At(i, 0) = 1.0f / (1.0f + std::exp(-out.At(i, 0)));
-    }
-    if (ws != nullptr) w.out = out;
-    return out;
+    cell_->Reserve(lengths, training, &w.cell);
+    const int h = options_.hidden_dim;
+    w.hs.Reserve(rows, h);
+    w.out.Reserve(rows, 1);
+    if (!training) return;
+    w.g.Reserve(rows, 1);
+    w.dh.Reserve(rows, h);
+    w.packed.Reserve(1, h);
   }
 
-  void Backward(const nn::Matrix& dpred, Workspace* ws) override {
+  void Encode(QueryBatch queries, Workspace* ws) const override {
     auto& w = static_cast<SequenceWorkspace&>(*ws);
-    nn::Matrix g(dpred.rows(), 1);
-    for (int i = 0; i < g.rows(); ++i) {
-      const float y = w.out.At(i, 0);
-      g.At(i, 0) = dpred.At(i, 0) * y * (1.0f - y);  // through the sigmoid
+    w.n = static_cast<int>(queries.size());
+    if (static_cast<int>(w.seqs.size()) < w.n) w.seqs.resize(w.n);
+    for (int i = 0; i < w.n; ++i) {
+      nn::Matrix& seq = w.seqs[i];
+      seq.Resize(encoder().SequenceLength(*queries[i]),
+                 encoder().seq_token_dim());
+      encoder().SequenceEncodeInto(*queries[i], seq.raw(), seq.ld());
     }
-    nn::Matrix dh;
-    head_->Backward(w.hs, g, &dh);
-    cell_->Backward(w.seqs, w.cell, dh);
+  }
+
+  const nn::Matrix& Forward(Workspace* ws, bool training) const override {
+    auto& w = static_cast<SequenceWorkspace&>(*ws);
+    // One length-packed time-major pass over all sequences, then one
+    // multi-row head pass and the sigmoid.
+    cell_->Forward(w.Seqs(), &w.cell, training, &w.hs);
+    head_->ForwardInto(w.hs, nn::Activation::kIdentity, &w.out);
+    for (int i = 0; i < w.out.rows(); ++i) {
+      w.out.At(i, 0) = 1.0f / (1.0f + std::exp(-w.out.At(i, 0)));
+    }
+    return w.out;
+  }
+
+  void BackwardChain(Workspace* ws) const override {
+    auto& w = static_cast<SequenceWorkspace&>(*ws);
+    w.g.Resize(w.dpred.rows(), 1);
+    for (int i = 0; i < w.g.rows(); ++i) {
+      const float y = w.out.At(i, 0);
+      w.g.At(i, 0) = w.dpred.At(i, 0) * y * (1.0f - y);  // through the sigmoid
+    }
+    head_->BackwardInput(w.g, &w.dh, &w.packed);
+    cell_->BackwardChain(w.Seqs(), w.dh, &w.cell);
+  }
+
+  void AddGradSums(std::span<Workspace* const> blocks,
+                   nn::GradSums* sums) override {
+    std::vector<nn::GradBlock> head_blocks;
+    std::vector<const typename Cell::Tape*> cell_blocks;
+    for (Workspace* ws : blocks) {
+      auto& w = static_cast<SequenceWorkspace&>(*ws);
+      head_blocks.push_back({&w.hs, &w.g});
+      cell_blocks.push_back(&w.cell);
+    }
+    head_->AddGradSums(head_blocks, sums);
+    cell_->AddGradSums(cell_blocks, sums);
   }
 
   std::vector<nn::Param*> Params() override {
@@ -82,10 +117,20 @@ class RecurrentEstimatorBase : public NeuralQueryDrivenEstimator {
 
  private:
   struct SequenceWorkspace : Workspace {
-    std::vector<nn::Matrix> seqs;  // one T_i x token_dim matrix per query
+    // One T_i x token_dim matrix per query; the first n are the block's.
+    std::vector<nn::Matrix> seqs;
+    int n = 0;
     typename Cell::Tape cell;
-    nn::Matrix hs;   // final hidden state per query
-    nn::Matrix out;  // sigmoid output per query
+    nn::Matrix hs;      // final hidden state per query
+    nn::Matrix out;     // sigmoid output per query
+    nn::Matrix g;       // dL/d(head pre-activation) per query
+    nn::Matrix dh;      // dL/d(final hidden state) per query
+    nn::Matrix packed;  // the head's W^T scratch
+
+    std::span<const nn::Matrix> Seqs() const {
+      return std::span<const nn::Matrix>(seqs.data(),
+                                         static_cast<size_t>(n));
+    }
   };
 
   std::unique_ptr<Cell> cell_;

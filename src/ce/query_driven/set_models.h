@@ -28,13 +28,21 @@ class SetBasedEstimator : public NeuralQueryDrivenEstimator {
  protected:
   void InitModel(Rng* rng) override;
   std::unique_ptr<Workspace> NewWorkspace() const override;
-  nn::Matrix Forward(QueryBatch queries, Workspace* ws) const override;
-  void Backward(const nn::Matrix& dpred, Workspace* ws) override;
+  void ReserveWorkspace(QueryBatch queries, bool training,
+                        Workspace* ws) const override;
+  void Encode(QueryBatch queries, Workspace* ws) const override;
+  const nn::Matrix& Forward(Workspace* ws, bool training) const override;
+  void BackwardChain(Workspace* ws) const override;
+  void AddGradSums(std::span<Workspace* const> blocks,
+                   nn::GradSums* sums) override;
   std::vector<nn::Param*> Params() override;
   size_t NumParams() const override;
 
  private:
   struct SetWorkspace;
+
+  /// Width of a table token: MSCN's carries the sample bitmap.
+  int TableDim() const;
 
   bool use_sample_bitmap_;
   // One sub-MLP per token set, in the order of the pooled vector's column

@@ -19,8 +19,8 @@ namespace nn {
 
 void SaveParams(const std::vector<Param*>& params, std::ostream* os);
 
-/// Restores values (not optimizer moments). Fails on shape mismatch or a
-/// truncated stream.
+/// Restores values (not optimizer moments). Fails on shape mismatch, a
+/// truncated stream or a non-finite value, and then changes no parameter.
 Status LoadParams(const std::vector<Param*>& params, std::istream* is);
 
 /// Total parameter footprint in bytes (float32 values only), the model-size

@@ -64,8 +64,15 @@ int QueryEncoder::flat_dim_for(FlatVariant variant) const {
 
 std::vector<float> QueryEncoder::FlatEncode(const Query& q,
                                             FlatVariant variant) const {
+  std::vector<float> out(flat_dim_for(variant));
+  FlatEncodeInto(q, variant, out.data());
+  return out;
+}
+
+void QueryEncoder::FlatEncodeInto(const Query& q, FlatVariant variant,
+                                  float* out) const {
   bool structural = variant != FlatVariant::kRangeOnly;
-  std::vector<float> out(flat_dim_for(variant), 0.0f);
+  std::fill(out, out + flat_dim_for(variant), 0.0f);
   int range_base = structural ? num_tables_ + num_joins_ : 0;
   // Default range for every column: [0, 1] (unconstrained).
   for (int c = 0; c < num_columns_; ++c) {
@@ -87,81 +94,84 @@ std::vector<float> QueryEncoder::FlatEncode(const Query& q,
     out[range_base + 2 * gc] = lo;
     out[range_base + 2 * gc + 1] = hi;
   }
-  return out;
 }
 
-MscnSets QueryEncoder::MscnEncode(const Query& q) const {
-  MscnSets sets;
+QueryEncoder::MscnCounts QueryEncoder::MscnTokenCounts(const Query& q) const {
+  return {static_cast<int>(q.tables.size()),
+          std::max(static_cast<int>(q.join_edges.size()), 1),
+          std::max(static_cast<int>(q.predicates.size()), 1)};
+}
+
+void QueryEncoder::MscnEncodeInto(const Query& q, bool bitmaps,
+                                  float* const rows[3], const int ld[3]) const {
+  const int table_dim = bitmaps ? mscn_table_dim() : num_tables_;
+  float* token = rows[0];
   for (int t : q.tables) {
-    std::vector<float> token(mscn_table_dim(), 0.0f);
+    std::fill(token, token + table_dim, 0.0f);
     token[t] = 1.0f;
-    // Bitmap: 1 when the sampled row satisfies every predicate on table t.
-    const storage::Table& table = db_->table(t);
-    for (size_t s = 0; s < samples_[t].size(); ++s) {
-      uint64_t row = samples_[t][s];
-      if (row >= table.num_rows()) continue;  // defensive vs. truncation
-      bool pass = true;
-      for (const Predicate& p : q.predicates) {
-        if (p.col.table != t) continue;
-        storage::Value v = table.column(p.col.column)[row];
-        if (v < p.lo || v > p.hi) {
-          pass = false;
-          break;
+    if (bitmaps) {
+      // Bitmap: 1 when the sampled row satisfies every predicate on table t.
+      const storage::Table& table = db_->table(t);
+      for (size_t s = 0; s < samples_[t].size(); ++s) {
+        uint64_t row = samples_[t][s];
+        if (row >= table.num_rows()) continue;  // defensive vs. truncation
+        bool pass = true;
+        for (const Predicate& p : q.predicates) {
+          if (p.col.table != t) continue;
+          storage::Value v = table.column(p.col.column)[row];
+          if (v < p.lo || v > p.hi) {
+            pass = false;
+            break;
+          }
         }
+        if (pass) token[num_tables_ + static_cast<int>(s)] = 1.0f;
       }
-      if (pass) token[num_tables_ + static_cast<int>(s)] = 1.0f;
     }
-    sets.tables.push_back(std::move(token));
+    token += ld[0];
   }
+  // Empty join and predicate sets are one all-zero token.
+  token = rows[1];
+  std::fill(token, token + mscn_join_dim(), 0.0f);
   for (int j : q.join_edges) {
-    std::vector<float> token(mscn_join_dim(), 0.0f);
+    std::fill(token, token + mscn_join_dim(), 0.0f);
     token[j] = 1.0f;
-    sets.joins.push_back(std::move(token));
+    token += ld[1];
   }
-  if (sets.joins.empty()) {
-    sets.joins.push_back(std::vector<float>(mscn_join_dim(), 0.0f));
-  }
+  token = rows[2];
+  std::fill(token, token + mscn_pred_dim(), 0.0f);
   for (const Predicate& p : q.predicates) {
-    std::vector<float> token(mscn_pred_dim(), 0.0f);
+    std::fill(token, token + mscn_pred_dim(), 0.0f);
     int gc = col_offset_[p.col.table] + p.col.column;
     token[gc] = 1.0f;
     token[num_columns_] = NormalizeValue(gc, p.lo);
     token[num_columns_ + 1] = NormalizeValue(gc, p.hi);
-    sets.predicates.push_back(std::move(token));
+    token += ld[2];
   }
-  if (sets.predicates.empty()) {
-    sets.predicates.push_back(std::vector<float>(mscn_pred_dim(), 0.0f));
-  }
-  return sets;
 }
 
-std::vector<std::vector<float>> QueryEncoder::SequenceEncode(
-    const Query& q) const {
+void QueryEncoder::SequenceEncodeInto(const Query& q, float* out,
+                                      int ld) const {
   // Token layout: [tables | joins | columns | lo, hi].
-  int dim = seq_token_dim();
-  int join_base = num_tables_;
-  int col_base = num_tables_ + num_joins_;
-  int range_base = col_base + num_columns_;
-  std::vector<std::vector<float>> seq;
-  for (int t : q.tables) {
-    std::vector<float> token(dim, 0.0f);
-    token[t] = 1.0f;
-    seq.push_back(std::move(token));
-  }
-  for (int j : q.join_edges) {
-    std::vector<float> token(dim, 0.0f);
-    token[join_base + j] = 1.0f;
-    seq.push_back(std::move(token));
-  }
+  const int dim = seq_token_dim();
+  const int join_base = num_tables_;
+  const int col_base = num_tables_ + num_joins_;
+  const int range_base = col_base + num_columns_;
+  float* token = out;
+  auto next = [&] {
+    float* t = token;
+    std::fill(t, t + dim, 0.0f);
+    token += ld;
+    return t;
+  };
+  for (int t : q.tables) next()[t] = 1.0f;
+  for (int j : q.join_edges) next()[join_base + j] = 1.0f;
   for (const Predicate& p : q.predicates) {
-    std::vector<float> token(dim, 0.0f);
+    float* t = next();
     int gc = col_offset_[p.col.table] + p.col.column;
-    token[col_base + gc] = 1.0f;
-    token[range_base] = NormalizeValue(gc, p.lo);
-    token[range_base + 1] = NormalizeValue(gc, p.hi);
-    seq.push_back(std::move(token));
+    t[col_base + gc] = 1.0f;
+    t[range_base] = NormalizeValue(gc, p.lo);
+    t[range_base + 1] = NormalizeValue(gc, p.hi);
   }
-  return seq;
 }
 
 float QueryEncoder::NormalizeLog(double cardinality) const {

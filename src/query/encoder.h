@@ -25,14 +25,6 @@
 namespace lce {
 namespace query {
 
-/// The three MSCN input sets for one query. Empty sets are represented by a
-/// single all-zero token so set pooling stays well-defined.
-struct MscnSets {
-  std::vector<std::vector<float>> tables;
-  std::vector<std::vector<float>> joins;
-  std::vector<std::vector<float>> predicates;
-};
-
 /// Variant knob for the encoding-ablation experiment (R12).
 enum class FlatVariant {
   kFull,       // table one-hots + join one-hots + normalized ranges
@@ -52,19 +44,41 @@ class QueryEncoder {
   int flat_dim() const { return num_tables_ + num_joins_ + 2 * num_columns_; }
   std::vector<float> FlatEncode(const Query& q,
                                 FlatVariant variant = FlatVariant::kFull) const;
+  /// FlatEncode into `out` (flat_dim_for(variant) floats).
+  void FlatEncodeInto(const Query& q, FlatVariant variant, float* out) const;
   int flat_dim_for(FlatVariant variant) const;
 
   // -- MSCN set encoding -----------------------------------------------------
   int mscn_table_dim() const { return num_tables_ + options_.mscn_sample_size; }
   int mscn_join_dim() const { return std::max(num_joins_, 1); }
   int mscn_pred_dim() const { return num_columns_ + 2; }
-  MscnSets MscnEncode(const Query& q) const;
+  /// Token counts of q's three input sets: tables (one token per table),
+  /// joins and predicates. An empty join or predicate set is one all-zero
+  /// token, so set pooling stays well-defined.
+  struct MscnCounts {
+    int tables, joins, predicates;
+  };
+  MscnCounts MscnTokenCounts(const Query& q) const;
+  /// Encodes q's three sets straight into rows: set s's tokens go to
+  /// consecutive rows starting at `rows[s]`, `ld[s]` floats apart (tables,
+  /// joins, predicates). A table token carries the table one-hot and, with
+  /// `bitmaps`, the sample bitmap (mscn_table_dim() floats); without, only
+  /// the num_tables() one-hot columns (FCN+Pool's tables).
+  void MscnEncodeInto(const Query& q, bool bitmaps, float* const rows[3],
+                      const int ld[3]) const;
 
   // -- Sequence encoding -----------------------------------------------------
   int seq_token_dim() const {
     return num_tables_ + num_joins_ + num_columns_ + 2;
   }
-  std::vector<std::vector<float>> SequenceEncode(const Query& q) const;
+  /// Tokens in q's sequence: one per table, join and predicate, in that
+  /// order.
+  int SequenceLength(const Query& q) const {
+    return static_cast<int>(q.tables.size() + q.join_edges.size() +
+                            q.predicates.size());
+  }
+  /// Encodes q's sequence into SequenceLength(q) rows, `ld` floats apart.
+  void SequenceEncodeInto(const Query& q, float* out, int ld) const;
 
   // -- Label transform -------------------------------------------------------
   /// log(1 + product of all table row counts): the normalizer that maps

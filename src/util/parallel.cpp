@@ -20,9 +20,11 @@ namespace parallel {
 
 namespace {
 
-// Set inside pool workers so nested parallel regions run inline instead of
-// fanning out again (which could otherwise livelock the fixed-size pool).
-thread_local bool tls_in_pool_worker = false;
+// Set on every lane of a running region, the caller's lane included (and
+// for good inside pool workers), so nested parallel regions run inline on
+// the lane that meets them instead of fanning out to a pool whose workers
+// are busy with the outer region.
+thread_local bool tls_in_region = false;
 
 // Pool utilization metrics (LCE_METRICS): aggregate across workers via the
 // counters' per-thread shards. Handles are cached once; the registry never
@@ -55,7 +57,7 @@ struct ThreadPool::Impl {
   std::vector<std::thread> workers;
 
   void WorkerLoop(int worker_index) {
-    tls_in_pool_worker = true;
+    tls_in_region = true;
     telemetry::SetCurrentThreadName("pool/" + std::to_string(worker_index));
     for (;;) {
       std::function<void()> task;
@@ -176,7 +178,7 @@ void SetThreadCountForTesting(int size) {
 namespace internal {
 
 bool ShouldParallelize(int64_t num_chunks) {
-  return num_chunks > 1 && !tls_in_pool_worker && GlobalPool()->size() > 1;
+  return num_chunks > 1 && !tls_in_region && GlobalPool()->size() > 1;
 }
 
 void ParallelForChunksImpl(
@@ -230,7 +232,11 @@ void ParallelForChunksImpl(
   const int64_t helpers =
       std::min<int64_t>(pool->size(), num_chunks) - 1;  // caller is a lane
   for (int64_t i = 0; i < helpers; ++i) pool->Submit(run_chunks);
+  // The caller's lane is a lane of this region like any worker: regions
+  // nested in its chunks run inline too.
+  tls_in_region = true;
   run_chunks();
+  tls_in_region = false;
   {
     std::unique_lock<std::mutex> lock(state->mu);
     state->cv.wait(lock, [&] {

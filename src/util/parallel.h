@@ -76,8 +76,9 @@ inline uint64_t ChunkSeed(uint64_t base_seed, uint64_t chunk_index) {
 namespace internal {
 
 /// True when a region of `num_chunks` chunks should fan out to the pool:
-/// more than one chunk, more than one lane, and not already inside a pool
-/// worker (nested regions run inline to avoid starving the fixed pool).
+/// more than one chunk, more than one lane, and not already on a lane of a
+/// running region, the caller's lane included (nested regions run inline
+/// on the lane that meets them, so the fixed pool never starves).
 bool ShouldParallelize(int64_t num_chunks);
 
 /// Pool dispatch for ParallelForChunks; only reached on the fan-out path, so
@@ -93,7 +94,7 @@ void ParallelForChunksImpl(
 /// participates and returns after all chunks finish. The first exception
 /// thrown by any chunk is rethrown in the caller. Runs inline (in chunk
 /// order) when the pool has one lane, when there is a single chunk, or when
-/// called from inside a pool worker (no nested fan-out).
+/// called from a lane of a running region (no nested fan-out).
 template <typename Fn>
 void ParallelForChunks(int64_t begin, int64_t end, int64_t grain, Fn&& fn) {
   if (end <= begin) return;

@@ -1,6 +1,7 @@
 #include "src/query/encoder.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,36 @@
 namespace lce {
 namespace query {
 namespace {
+
+// The three MSCN token sets of `q`, one vector per token, encoded in place
+// by MscnEncodeInto.
+struct TokenSets {
+  std::vector<std::vector<float>> tables, joins, predicates;
+};
+
+TokenSets EncodeSets(const QueryEncoder& encoder, const Query& q) {
+  const QueryEncoder::MscnCounts counts = encoder.MscnTokenCounts(q);
+  const int ld[3] = {encoder.mscn_table_dim(), encoder.mscn_join_dim(),
+                     encoder.mscn_pred_dim()};
+  const int n[3] = {counts.tables, counts.joins, counts.predicates};
+  std::vector<float> flat[3];
+  float* rows[3];
+  for (int s = 0; s < 3; ++s) {
+    flat[s].assign(static_cast<size_t>(n[s]) * ld[s], -1.0f);
+    rows[s] = flat[s].data();
+  }
+  encoder.MscnEncodeInto(q, /*bitmaps=*/true, rows, ld);
+  TokenSets sets;
+  std::vector<std::vector<float>>* out[3] = {&sets.tables, &sets.joins,
+                                             &sets.predicates};
+  for (int s = 0; s < 3; ++s) {
+    for (int t = 0; t < n[s]; ++t) {
+      out[s]->emplace_back(flat[s].begin() + t * ld[s],
+                           flat[s].begin() + (t + 1) * ld[s]);
+    }
+  }
+  return sets;
+}
 
 class EncoderTest : public ::testing::Test {
  protected:
@@ -92,7 +123,7 @@ TEST_F(EncoderTest, MscnSetsHaveDocumentedShapes) {
   q.tables = {0, 1, 2};
   q.join_edges = {0, 1};
   q.predicates = {{{0, 1}, 0, 2}};
-  MscnSets sets = encoder_->MscnEncode(q);
+  TokenSets sets = EncodeSets(*encoder_, q);
   EXPECT_EQ(sets.tables.size(), 3u);
   EXPECT_EQ(sets.joins.size(), 2u);
   EXPECT_EQ(sets.predicates.size(), 1u);
@@ -108,7 +139,7 @@ TEST_F(EncoderTest, MscnSetsHaveDocumentedShapes) {
 TEST_F(EncoderTest, MscnEmptySetsGetZeroToken) {
   Query q;
   q.tables = {0};
-  MscnSets sets = encoder_->MscnEncode(q);
+  TokenSets sets = EncodeSets(*encoder_, q);
   ASSERT_EQ(sets.joins.size(), 1u);
   ASSERT_EQ(sets.predicates.size(), 1u);
   for (float v : sets.joins[0]) EXPECT_FLOAT_EQ(v, 0.0f);
@@ -120,7 +151,7 @@ TEST_F(EncoderTest, MscnBitmapTracksSelectivity) {
   // leaves almost no bits set.
   Query open;
   open.tables = {0};
-  MscnSets open_sets = encoder_->MscnEncode(open);
+  TokenSets open_sets = EncodeSets(*encoder_, open);
   int bitmap_base = db_->num_tables();
   int sample = encoder_->mscn_table_dim() - bitmap_base;
   double open_bits = 0;
@@ -131,7 +162,7 @@ TEST_F(EncoderTest, MscnBitmapTracksSelectivity) {
 
   Query narrow = open;
   narrow.predicates = {{{0, 2}, -1000000, -999999}};  // empty range
-  MscnSets narrow_sets = encoder_->MscnEncode(narrow);
+  TokenSets narrow_sets = EncodeSets(*encoder_, narrow);
   double narrow_bits = 0;
   for (int s = 0; s < sample; ++s) {
     narrow_bits += narrow_sets.tables[0][bitmap_base + s];
@@ -144,11 +175,20 @@ TEST_F(EncoderTest, SequenceHasOneTokenPerItem) {
   q.tables = {0, 1};
   q.join_edges = {0};
   q.predicates = {{{0, 1}, 0, 2}, {{1, 1}, 5, 9}};
-  auto seq = encoder_->SequenceEncode(q);
-  EXPECT_EQ(seq.size(), 2u + 1u + 2u);  // tables + joins + predicates
-  for (const auto& token : seq) {
-    EXPECT_EQ(token.size(), static_cast<size_t>(encoder_->seq_token_dim()));
+  EXPECT_EQ(encoder_->SequenceLength(q), 2 + 1 + 2);  // tables, joins, preds
+  const int dim = encoder_->seq_token_dim();
+  const int ld = dim + 3;  // rows wider than a token keep their tail
+  std::vector<float> rows(static_cast<size_t>(5) * ld, -1.0f);
+  encoder_->SequenceEncodeInto(q, rows.data(), ld);
+  for (int t = 0; t < 5; ++t) {
+    const float* token = rows.data() + t * ld;
+    int ones = 0;
+    for (int c = 0; c < dim; ++c) ones += token[c] == 1.0f;
+    EXPECT_GE(ones, 1) << "token " << t;
+    for (int c = dim; c < ld; ++c) EXPECT_EQ(token[c], -1.0f);
   }
+  // The first token is table 0's one-hot.
+  EXPECT_EQ(rows[0], 1.0f);
 }
 
 TEST_F(EncoderTest, LabelTransformRoundTrips) {

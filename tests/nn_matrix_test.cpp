@@ -71,28 +71,26 @@ TEST(MatrixTest, AccumulateRowsAddsEveryRow) {
   EXPECT_FLOAT_EQ(sum.At(0, 2), 38);
 }
 
-TEST(MatrixTest, StackRejectsRaggedInput) {
-  EXPECT_DEATH(Matrix::Stack({{1.0f, 2.0f}, {3.0f}}), "ragged");
-}
-
-TEST(MatrixTest, TryStackReportsRaggedAndEmptyInput) {
-  Result<Matrix> ragged = Matrix::TryStack({{1.0f, 2.0f}, {3.0f}});
-  ASSERT_FALSE(ragged.ok());
-  EXPECT_EQ(ragged.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(ragged.status().message().find("ragged"), std::string::npos);
-
-  Result<Matrix> empty = Matrix::TryStack({});
-  ASSERT_FALSE(empty.ok());
-  EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(MatrixTest, TryStackBuildsMatrixFromValidRows) {
-  Result<Matrix> ok = Matrix::TryStack({{1.0f, 2.0f}, {3.0f, 4.0f}});
-  ASSERT_TRUE(ok.ok());
-  const Matrix& m = ok.value();
-  ASSERT_EQ(m.rows(), 2);
-  ASSERT_EQ(m.cols(), 2);
-  EXPECT_FLOAT_EQ(m.At(1, 0), 3.0f);
+// Resize keeps the leading rows when cols() is unchanged, zeroes added rows
+// and every element on a new cols(), keeps padding zero, and never moves a
+// buffer reserved for the new shape (so a lane reshaping a reserved
+// workspace matrix allocates nothing).
+TEST(MatrixTest, ResizeKeepsLeadingRowsAndReservedBuffer) {
+  Matrix m = Fill(3, 2, {1, 2, 3, 4, 5, 6});
+  m.Reserve(8, 20);
+  const float* buffer = m.raw();
+  m.Resize(2, 2);
+  EXPECT_EQ(m.rows(), 2);
+  EXPECT_FLOAT_EQ(m.At(1, 1), 4);
+  m.Resize(5, 2);
+  EXPECT_FLOAT_EQ(m.At(0, 0), 1);
+  EXPECT_FLOAT_EQ(m.At(4, 1), 0);
+  m.Resize(8, 20);
+  EXPECT_EQ(m.ld(), 32);
+  for (int r = 0; r < m.rows(); ++r) {
+    for (int c = 0; c < m.ld(); ++c) EXPECT_EQ(m.RowPtr(r)[c], 0.0f);
+  }
+  EXPECT_EQ(m.raw(), buffer);
 }
 
 TEST(MatrixTest, TryMatMulVariantsRejectShapeMismatch) {

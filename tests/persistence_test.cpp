@@ -1,7 +1,12 @@
 // Model persistence: trained query-driven estimators serialize their weights
 // and restore into a Prepare()d instance with identical behaviour.
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -93,6 +98,83 @@ TEST(PersistenceTest, LoadRejectsMismatchedArchitecture) {
   FcnEstimator other(wider);
   ASSERT_TRUE(other.Prepare(*env.db).ok());
   EXPECT_FALSE(other.LoadModel(&buffer).ok());
+}
+
+// Answers of `model` on the test queries, as bits.
+std::vector<double> Answers(Estimator* model) {
+  std::vector<double> out;
+  for (const auto& lq : SharedEnv().test) {
+    out.push_back(model->EstimateCardinality(lq.q));
+  }
+  return out;
+}
+
+// A failed load changes nothing: a built model that is handed a stream cut
+// at every parameter boundary, in the middle of a header or of a
+// parameter's values, or carrying a NaN weight keeps answering exactly as
+// before, and the full stream still loads afterwards.
+template <typename Model>
+void FailedLoadsLeaveTheModelUnchanged() {
+  const Env& env = SharedEnv();
+  Model source(SmallOptions());
+  ASSERT_TRUE(source.Build(*env.db, env.train).ok());
+  std::stringstream saved;
+  ASSERT_TRUE(source.SaveModel(&saved).ok());
+  const std::string stream = saved.str();
+
+  // Same options (so the same encoder), other weights: trained on half the
+  // queries.
+  Model target(SmallOptions());
+  const std::vector<query::LabeledQuery> half(
+      env.train.begin(), env.train.begin() + env.train.size() / 2);
+  ASSERT_TRUE(target.Build(*env.db, half).ok());
+  const std::vector<double> before = Answers(&target);
+  ASSERT_NE(before, Answers(&source));
+
+  // Byte offsets inside the stream: each parameter is an 8-byte header
+  // (rows, cols) and rows * cols floats.
+  std::vector<size_t> cuts;
+  size_t offset = 0;
+  while (offset < stream.size()) {
+    int32_t shape[2];
+    std::memcpy(shape, stream.data() + offset, sizeof(shape));
+    const size_t values = static_cast<size_t>(shape[0]) * shape[1];
+    cuts.push_back(offset);                    // at the boundary
+    cuts.push_back(offset + 4);                // inside the header
+    cuts.push_back(offset + 8 + values / 2 * sizeof(float));  // mid-values
+    offset += 8 + values * sizeof(float);
+  }
+  ASSERT_EQ(offset, stream.size());
+  for (size_t cut : cuts) {
+    std::stringstream truncated(stream.substr(0, cut));
+    EXPECT_FALSE(target.LoadModel(&truncated).ok()) << "cut at " << cut;
+    EXPECT_EQ(Answers(&target), before) << "cut at " << cut;
+  }
+
+  // A NaN in the last weight of the last parameter.
+  std::string poisoned = stream;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::memcpy(poisoned.data() + poisoned.size() - sizeof(float), &nan,
+              sizeof(float));
+  std::stringstream poisoned_stream(poisoned);
+  EXPECT_FALSE(target.LoadModel(&poisoned_stream).ok());
+  EXPECT_EQ(Answers(&target), before);
+
+  std::stringstream full(stream);
+  ASSERT_TRUE(target.LoadModel(&full).ok());
+  EXPECT_EQ(Answers(&target), Answers(&source));
+}
+
+TEST(PersistenceTest, FailedLoadLeavesFcnUnchanged) {
+  FailedLoadsLeaveTheModelUnchanged<FcnEstimator>();
+}
+
+TEST(PersistenceTest, FailedLoadLeavesMscnUnchanged) {
+  FailedLoadsLeaveTheModelUnchanged<MscnEstimator>();
+}
+
+TEST(PersistenceTest, FailedLoadLeavesLstmUnchanged) {
+  FailedLoadsLeaveTheModelUnchanged<LstmEstimator>();
 }
 
 TEST(PersistenceTest, LoadedModelSupportsFurtherUpdates) {
