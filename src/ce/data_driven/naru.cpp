@@ -133,7 +133,7 @@ void NaruTableModel::Fit(const storage::Table& table, const Options& options,
                             static_cast<float>(b);
           }
         }
-        net->Backward(x, tape, grad, /*dx=*/nullptr);
+        net->Backward(x, &tape, grad, /*dx=*/nullptr);
         adam.Step(net->Params());
       }
       if (train_log) {

@@ -38,7 +38,7 @@ TEST(TrainingTest, MlpFitsQuadratic) {
     LossResult lr = ComputeLoss(LossKind::kMse, y, t);
     if (step == 0) first_loss = lr.loss;
     last_loss = lr.loss;
-    mlp.Backward(x, tape, lr.grad, /*dx=*/nullptr);
+    mlp.Backward(x, &tape, lr.grad, /*dx=*/nullptr);
     adam.Step(mlp.Params());
   }
   EXPECT_LT(last_loss, first_loss * 0.1);
@@ -52,7 +52,7 @@ TEST(TrainingTest, AdamZeroesGradientsAfterStep) {
   MlpTape tape;
   mlp.Forward(x, &tape);
   Matrix ones(4, 1, 1.0f);
-  mlp.Backward(x, tape, ones, /*dx=*/nullptr);
+  mlp.Backward(x, &tape, ones, /*dx=*/nullptr);
   Adam adam(1e-3f);
   adam.Step(mlp.Params());
   for (Param* p : mlp.Params()) {
@@ -72,7 +72,7 @@ TEST(TrainingTest, AdamStepChangesParameters) {
   MlpTape tape;
   mlp.Forward(x, &tape);
   Matrix ones(4, 1, 1.0f);
-  mlp.Backward(x, tape, ones, /*dx=*/nullptr);
+  mlp.Backward(x, &tape, ones, /*dx=*/nullptr);
   Adam adam(1e-2f);
   adam.Step(mlp.Params());
   std::vector<float> after;
