@@ -17,6 +17,7 @@
 #include "src/eval/metrics.h"
 #include "src/exec/executor.h"
 #include "src/storage/datagen.h"
+#include "src/util/knobs.h"
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 #include "src/util/table_printer.h"
@@ -39,9 +40,7 @@ namespace bench {
 /// working directory. Override with LCE_BENCH_OUT_DIR; writers create it on
 /// demand, so a fresh checkout needs no setup.
 inline std::string BenchOutDir() {
-  const char* v = std::getenv("LCE_BENCH_OUT_DIR");
-  return (v != nullptr && *v != '\0') ? std::string(v)
-                                      : std::string("bench/out");
+  return knobs::String(knobs::kBenchOutDir);
 }
 
 /// `BenchOutDir()/name` — the canonical path for one bench artifact.
@@ -59,38 +58,31 @@ struct BenchDb {
   std::vector<query::LabeledQuery> test;
 };
 
+/// Bench sizes; the defaults are the LCE_BENCH_* knobs' defaults.
 struct BenchConfig {
-  double scale = 0.12;       // row-count multiplier for multi-table schemas
-  double dmv_scale = 0.3;    // single-table schema is cheap
-  int train_queries = 1500;
-  int test_queries = 300;
-  int max_joins = 3;
-  uint64_t seed = 7;
+  double scale = Default(knobs::kBenchScale);  // multi-table schemas
+  double dmv_scale = Default(knobs::kBenchDmvScale);  // single table: cheap
+  int train_queries = static_cast<int>(Default(knobs::kBenchTrainQueries));
+  int test_queries = static_cast<int>(Default(knobs::kBenchTestQueries));
+  int max_joins = static_cast<int>(Default(knobs::kBenchMaxJoins));
+  uint64_t seed = static_cast<uint64_t>(Default(knobs::kBenchSeed));
 
-  /// Defaults overridden by LCE_BENCH_{SCALE,DMV_SCALE,TRAIN_QUERIES,
-  /// TEST_QUERIES,MAX_JOINS,SEED} — CI runs the suite at a fraction of the
-  /// default size without a rebuild.
+  /// The sizes LCE_BENCH_{SCALE,DMV_SCALE,TRAIN_QUERIES,TEST_QUERIES,
+  /// MAX_JOINS,SEED} set: CI runs the suite at a fraction of the default
+  /// size without a rebuild.
   static BenchConfig FromEnv() {
     BenchConfig cfg;
-    auto env_double = [](const char* name, double* out) {
-      const char* v = std::getenv(name);
-      if (v != nullptr && *v != '\0') *out = std::atof(v);
-    };
-    auto env_int = [](const char* name, int* out) {
-      const char* v = std::getenv(name);
-      if (v != nullptr && *v != '\0') *out = std::atoi(v);
-    };
-    env_double("LCE_BENCH_SCALE", &cfg.scale);
-    env_double("LCE_BENCH_DMV_SCALE", &cfg.dmv_scale);
-    env_int("LCE_BENCH_TRAIN_QUERIES", &cfg.train_queries);
-    env_int("LCE_BENCH_TEST_QUERIES", &cfg.test_queries);
-    env_int("LCE_BENCH_MAX_JOINS", &cfg.max_joins);
-    if (const char* v = std::getenv("LCE_BENCH_SEED");
-        v != nullptr && *v != '\0') {
-      cfg.seed = static_cast<uint64_t>(std::atoll(v));
-    }
+    cfg.scale = knobs::Number(knobs::kBenchScale);
+    cfg.dmv_scale = knobs::Number(knobs::kBenchDmvScale);
+    cfg.train_queries = static_cast<int>(knobs::Int(knobs::kBenchTrainQueries));
+    cfg.test_queries = static_cast<int>(knobs::Int(knobs::kBenchTestQueries));
+    cfg.max_joins = static_cast<int>(knobs::Int(knobs::kBenchMaxJoins));
+    cfg.seed = static_cast<uint64_t>(knobs::Int(knobs::kBenchSeed));
     return cfg;
   }
+
+ private:
+  static double Default(knobs::Id id) { return knobs::GetSpec(id).def; }
 };
 
 inline BenchDb MakeBenchDb(const storage::datagen::DatabaseGenSpec& spec,

@@ -14,12 +14,8 @@ int main() {
   BenchConfig cfg = BenchConfig::FromEnv();
   // The labeled superset; prefixes form the sweep. LCE_BENCH_TRAIN_QUERIES
   // (when set) scales the whole sweep down, so CI can run a small config.
-  if (std::getenv("LCE_BENCH_TRAIN_QUERIES") == nullptr) {
-    cfg.train_queries = 4000;
-  }
-  if (std::getenv("LCE_BENCH_TEST_QUERIES") == nullptr) {
-    cfg.test_queries = 250;
-  }
+  if (!knobs::EnvSet(knobs::kBenchTrainQueries)) cfg.train_queries = 4000;
+  if (!knobs::EnvSet(knobs::kBenchTestQueries)) cfg.test_queries = 250;
   BenchDb bench = MakeBenchDb(storage::datagen::DmvLikeSpec(cfg.dmv_scale),
                               cfg);
   ce::NeuralOptions neural = BenchNeuralOptions();

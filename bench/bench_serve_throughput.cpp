@@ -23,18 +23,18 @@
 //   serve.<model>.c<N>.<off|on>.queue_wait_mean_micros
 //   serve.<model>.c<N>.batch_speedup_x             on/off QPS ratio
 //
-// Env knobs: LCE_SERVE_BENCH_SECONDS (per-config duration, default 1),
-// LCE_SERVE_BENCH_CLIENTS (comma list, default "1,4,16"),
-// LCE_SERVE_BENCH_HIDDEN / LCE_SERVE_BENCH_LAYERS / LCE_SERVE_BENCH_EPOCHS
-// (served model size), plus the usual LCE_BENCH_* sizing and LCE_SERVE_*
-// batching knobs for the "on" arm.
+// Env knobs: LCE_SERVE_BENCH_SECONDS (per-config duration, default 1) and
+// LCE_SERVE_BENCH_CLIENTS (comma list, default "1,4,16"), plus the usual
+// LCE_BENCH_* sizing.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -46,24 +46,25 @@ namespace lce {
 namespace bench {
 namespace {
 
-double EnvDouble(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return (v != nullptr && *v != '\0') ? std::atof(v) : fallback;
-}
-
+// LCE_SERVE_BENCH_CLIENTS: client counts from 1 to 256, comma-separated.
 std::vector<int> ClientCounts() {
+  const std::string spec = knobs::String(knobs::kServeBenchClients);
   std::vector<int> counts;
-  const char* v = std::getenv("LCE_SERVE_BENCH_CLIENTS");
-  std::string spec = (v != nullptr && *v != '\0') ? v : "1,4,16";
   size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    int n = std::atoi(spec.substr(pos, comma - pos).c_str());
-    if (n > 0) counts.push_back(n);
+  while (pos <= spec.size()) {
+    size_t comma = std::min(spec.find(',', pos), spec.size());
+    std::optional<int64_t> n =
+        knobs::ParseInt(std::string_view(spec).substr(pos, comma - pos), 1, 256);
+    if (!n) {
+      std::fprintf(stderr,
+                   "[LCE W knobs] ignoring LCE_SERVE_BENCH_CLIENTS=%s: expected "
+                   "integers in [1, 256], comma-separated; using %s\n",
+                   spec.c_str(), knobs::GetSpec(knobs::kServeBenchClients).text);
+      return {1, 4, 16};
+    }
+    counts.push_back(static_cast<int>(*n));
     pos = comma + 1;
   }
-  if (counts.empty()) counts = {1, 4, 16};
   return counts;
 }
 
@@ -74,14 +75,12 @@ std::vector<int> ClientCounts() {
 /// single-row forward is bound by streaming the weight matrices and a
 /// 4-row panel amortizes that traffic nearly 4x; depth multiplies the
 /// amortizable work relative to the fixed per-flush coordination cost.
-/// Epochs stay low because throughput, not accuracy, is measured here. All
-/// three are env knobs so CI can shrink the build cost.
+/// Epochs stay low because throughput, not accuracy, is measured here.
 ce::NeuralOptions ServeNeuralOptions() {
   ce::NeuralOptions o;
-  o.hidden_dim = static_cast<int>(EnvDouble("LCE_SERVE_BENCH_HIDDEN", 1024));
-  o.num_hidden_layers =
-      static_cast<int>(EnvDouble("LCE_SERVE_BENCH_LAYERS", 3));
-  o.epochs = static_cast<int>(EnvDouble("LCE_SERVE_BENCH_EPOCHS", 2));
+  o.hidden_dim = 1024;
+  o.num_hidden_layers = 3;
+  o.epochs = 2;
   return o;
 }
 
@@ -217,7 +216,7 @@ int main() {
               "lanes (FCN/MSCN)");
 
   BenchConfig cfg = BenchConfig::FromEnv();
-  const double seconds = EnvDouble("LCE_SERVE_BENCH_SECONDS", 1.0);
+  const double seconds = knobs::Number(knobs::kServeBenchSeconds);
   const std::vector<int> client_counts = ClientCounts();
 
   BenchDb bench = MakeBenchDb(storage::datagen::TpchLikeSpec(cfg.scale), cfg);
@@ -246,8 +245,7 @@ int main() {
     built.push_back(std::move(est));
   }
 
-  serve::BatcherOptions batch_on = serve::BatcherOptions::FromEnv();
-  batch_on.enabled = true;
+  const serve::BatcherOptions batch_on;  // the service default
   serve::BatcherOptions batch_off;
   batch_off.enabled = false;
 

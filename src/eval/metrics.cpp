@@ -1,7 +1,6 @@
 #include "src/eval/metrics.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "src/ce/explain.h"
 #include "src/util/logging.h"
@@ -152,23 +151,10 @@ AccuracyReport EvaluateAccuracy(ce::Estimator* estimator,
   return report;
 }
 
-size_t LatencySampleCap() {
-  const char* env = std::getenv("LCE_BENCH_LATENCY_SAMPLES");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != nullptr && *end == '\0' && v > 0) return static_cast<size_t>(v);
-    LCE_LOG(WARN) << "ignoring invalid LCE_BENCH_LATENCY_SAMPLES=" << env
-                  << "; using default " << kDefaultLatencySampleCap;
-  }
-  return kDefaultLatencySampleCap;
-}
-
 LatencyReport MeasureEstimateLatency(
     ce::Estimator* estimator, const std::vector<query::LabeledQuery>& test,
     size_t cap) {
   telemetry::ScopedPhase phase("eval/latency");
-  if (cap == 0) cap = LatencySampleCap();
   static telemetry::Histogram& latency_hist =
       telemetry::MetricsRegistry::Global().histogram("eval.estimate_latency_us");
   LatencyReport report;

@@ -35,23 +35,15 @@ struct LatencyReport {
   bool capped = false;   // measured < total
 };
 
-/// Default latency sample cap when neither the caller nor
-/// LCE_BENCH_LATENCY_SAMPLES picks one.
-inline constexpr size_t kDefaultLatencySampleCap = 200;
-
-/// The effective latency sample cap: LCE_BENCH_LATENCY_SAMPLES when set to a
-/// positive integer (re-read on every call so tests can setenv), else
-/// kDefaultLatencySampleCap. Recorded in run manifests as
-/// `latency_sample_cap`.
-size_t LatencySampleCap();
+/// Latency sample cap when the caller picks none.
+inline constexpr size_t kLatencySampleCap = 200;
 
 /// Times `estimator` on the first min(cap, test.size()) test queries, one
 /// clock read per query, and feeds each sample into the
-/// eval.estimate_latency_us histogram (when LCE_METRICS is on). The default
-/// cap = 0 means "use LatencySampleCap()".
+/// eval.estimate_latency_us histogram (when LCE_METRICS is on).
 LatencyReport MeasureEstimateLatency(
     ce::Estimator* estimator, const std::vector<query::LabeledQuery>& test,
-    size_t cap = 0);
+    size_t cap = kLatencySampleCap);
 
 }  // namespace eval
 }  // namespace lce

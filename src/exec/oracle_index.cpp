@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 #include <utility>
 
 #include "src/storage/column_index.h"
+#include "src/util/knobs.h"
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 #include "src/util/telemetry/memory.h"
@@ -18,20 +17,7 @@ namespace exec {
 
 namespace {
 
-std::atomic<int> g_enabled_override{-1};
-std::atomic<int> g_capacity_override{-1};
-
-bool EnabledFromEnv() {
-  const char* v = std::getenv("LCE_ORACLE_INDEX");
-  return v == nullptr || std::string_view(v) != "0";
-}
-
-int CapacityFromEnv() {
-  const char* v = std::getenv("LCE_BITMAP_CACHE_SIZE");
-  if (v == nullptr || *v == '\0') return 64;
-  int n = std::atoi(v);
-  return n < 0 ? 0 : n;
-}
+std::atomic<int> g_cache_capacity{kBitmapCacheCapacity};
 
 telemetry::Counter& IndexProbes() {
   static telemetry::Counter& c =
@@ -151,26 +137,19 @@ uint64_t WordSum(const uint8_t* data, int64_t len) {
 
 }  // namespace
 
-bool OracleIndexEnabled() {
-  int o = g_enabled_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  static bool env = EnabledFromEnv();
-  return env;
-}
+bool OracleIndexEnabled() { return knobs::Bool(knobs::kOracleIndex); }
 
 void SetOracleIndexEnabledForTesting(int on) {
-  g_enabled_override.store(on, std::memory_order_relaxed);
+  knobs::Override(knobs::kOracleIndex, on);
 }
 
 int BitmapCacheCapacity() {
-  int o = g_capacity_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o;
-  static int env = CapacityFromEnv();
-  return env;
+  return g_cache_capacity.load(std::memory_order_relaxed);
 }
 
 void SetBitmapCacheCapacityForTesting(int capacity) {
-  g_capacity_override.store(capacity, std::memory_order_relaxed);
+  g_cache_capacity.store(capacity < 0 ? kBitmapCacheCapacity : capacity,
+                         std::memory_order_relaxed);
 }
 
 namespace {

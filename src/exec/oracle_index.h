@@ -36,19 +36,22 @@
 namespace lce {
 namespace exec {
 
-/// True when the oracle acceleration layer is active: LCE_ORACLE_INDEX unset
-/// or set to anything but "0".
+/// True when the oracle acceleration layer is active: LCE_ORACLE_INDEX on
+/// (the default).
 bool OracleIndexEnabled();
 
 /// Overrides LCE_ORACLE_INDEX (tests, A/B benches). on < 0 restores the
 /// env-derived value.
 void SetOracleIndexEnabledForTesting(int on);
 
-/// Capacity (entries) of each executor's filtered-set cache, from
-/// LCE_BITMAP_CACHE_SIZE (default 64; 0 disables caching).
+/// Default capacity (entries) of each executor's filtered-set cache.
+inline constexpr int kBitmapCacheCapacity = 64;
+
+/// The capacity in effect: kBitmapCacheCapacity unless a test set another
+/// (0 disables caching).
 int BitmapCacheCapacity();
 
-/// Overrides LCE_BITMAP_CACHE_SIZE; capacity < 0 restores the env value.
+/// Overrides the capacity (tests); capacity < 0 restores the default.
 void SetBitmapCacheCapacityForTesting(int capacity);
 
 /// The rows of one table passing a query's predicates on that table.

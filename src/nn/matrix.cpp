@@ -14,9 +14,7 @@
 // in the same ascending order into a single accumulator, so they are
 // bit-identical on every input — the fast path only reorganizes which
 // *independent* elements progress together (rows of a panel, lanes of a
-// vector). The one sanctioned exception is LCE_FASTMATH=1, which lets the
-// small-batch A*B^T dot kernel use a vectorized multi-accumulator reduction;
-// that changes the summation order and is therefore off by default.
+// vector).
 //
 // Threading: all kernels are row-blocked over the global thread pool; output
 // rows are disjoint and per-element accumulation order never depends on the
@@ -367,24 +365,10 @@ void MatMulTransBRowsDot(const Matrix& a, const Matrix& b, Matrix* c,
                          int64_t r0, int64_t r1) {
   const int K = a.cols();
   const int Nb = b.rows();
-  const bool fast = simd::FastMathEnabled();
   for (int64_t i = r0; i < r1; ++i) {
     const float* LCE_RESTRICT arow = a.RowPtr(static_cast<int>(i));
     float* LCE_RESTRICT crow = c->RowPtr(static_cast<int>(i));
     int j = 0;
-    if (fast) {
-      // LCE_FASTMATH: vectorized reduction — multiple partial sums per dot,
-      // combined by the horizontal add. NOT bit-identical to the reference
-      // (summation order changes); gated off by default.
-      for (; j < Nb; ++j) {
-        const float* LCE_RESTRICT brow = b.RowPtr(j);
-        float dot = 0;
-#pragma omp simd reduction(+ : dot)
-        for (int k = 0; k < K; ++k) dot += arow[k] * brow[k];
-        crow[j] = dot;
-      }
-      continue;
-    }
     for (; j + 4 <= Nb; j += 4) {
       const float* LCE_RESTRICT b0 = b.RowPtr(j);
       const float* LCE_RESTRICT b1 = b.RowPtr(j + 1);

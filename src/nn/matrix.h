@@ -13,10 +13,8 @@
 // default on) between a blocked/vectorized path and the naive reference
 // loops. Both paths accumulate every output element's k-terms in the same
 // ascending order, so they are bit-identical to each other and at any thread
-// count (output rows are disjoint across parallel chunks). LCE_FASTMATH=1
-// additionally permits multi-accumulator reductions in the dot-product
-// kernels — faster, but no longer bit-identical; see DESIGN.md §10 for the
-// exactness contract.
+// count (output rows are disjoint across parallel chunks); see DESIGN.md §10
+// for the exactness contract.
 
 #ifndef LCE_NN_MATRIX_H_
 #define LCE_NN_MATRIX_H_

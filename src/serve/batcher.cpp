@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <utility>
 
 #include "src/util/logging.h"
@@ -11,28 +10,6 @@
 
 namespace lce {
 namespace serve {
-
-namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0') return fallback;
-  return static_cast<int>(parsed);
-}
-
-}  // namespace
-
-BatcherOptions BatcherOptions::FromEnv() {
-  BatcherOptions o;
-  const char* b = std::getenv("LCE_SERVE_BATCH");
-  if (b != nullptr && std::string_view(b) == "0") o.enabled = false;
-  o.max_batch = std::max(1, EnvInt("LCE_SERVE_MAX_BATCH", o.max_batch));
-  o.deadline_us = std::max(0, EnvInt("LCE_SERVE_BATCH_US", o.deadline_us));
-  return o;
-}
 
 MicroBatcher::MicroBatcher(const BatcherOptions& options, ExecFn exec)
     : options_(options),

@@ -34,13 +34,13 @@
 // The target counts only requests on the coalescing path: the ones running
 // inline never join the queue.
 //
-// Knobs (read by BatcherOptions::FromEnv):
-//   LCE_SERVE_BATCH      "0" disables coalescing: every request executes
-//                        alone on its caller's thread, however many are in
-//                        flight (the bench's batch-off arm). Default on:
-//                        coalesce only past the pool's lanes.
-//   LCE_SERVE_BATCH_US   flush deadline in microseconds (default 200).
-//   LCE_SERVE_MAX_BATCH  max requests per flush (default 64).
+// Options (BatcherOptions; the service uses the defaults):
+//   enabled      false disables coalescing: every request executes alone on
+//                its caller's thread, however many are in flight (the
+//                serving bench's batch-off arm). Default on: coalesce only
+//                past the pool's lanes.
+//   deadline_us  flush deadline in microseconds (default 200).
+//   max_batch    max requests per flush (default 64).
 
 #ifndef LCE_SERVE_BATCHER_H_
 #define LCE_SERVE_BATCHER_H_
@@ -67,10 +67,6 @@ struct BatcherOptions {
   bool enabled = true;
   int max_batch = 64;
   int deadline_us = 200;
-
-  /// Reads LCE_SERVE_BATCH / LCE_SERVE_MAX_BATCH / LCE_SERVE_BATCH_US;
-  /// unset or unparsable values keep the defaults above.
-  static BatcherOptions FromEnv();
 };
 
 class MicroBatcher {

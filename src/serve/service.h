@@ -63,9 +63,9 @@ struct ExplainResponse {
 class EstimationService {
  public:
   /// `db` provides the schema for SQL parsing and must outlive the service.
-  /// Batching knobs default to the LCE_SERVE_* environment.
+  /// Batching uses the BatcherOptions defaults unless `options` says else.
   explicit EstimationService(const storage::Database* db)
-      : EstimationService(db, BatcherOptions::FromEnv()) {}
+      : EstimationService(db, BatcherOptions{}) {}
   EstimationService(const storage::Database* db, const BatcherOptions& options);
 
   /// Publishes `estimator` (already built) as model `name`; re-registering

@@ -1,50 +1,21 @@
 #include "src/util/logging.h"
 
-#include <strings.h>
-
 #include <cstring>
+
+#include "src/util/knobs.h"
 
 namespace lce {
 namespace logging {
 
-namespace {
-
-Severity ParseSeverity(const char* s, Severity fallback) {
-  if (s == nullptr || *s == '\0') return fallback;
-  auto eq = [s](const char* word) { return strcasecmp(s, word) == 0; };
-  if (eq("debug") || eq("0")) return Severity::kDEBUG;
-  if (eq("info") || eq("1")) return Severity::kINFO;
-  if (eq("warn") || eq("warning") || eq("2")) return Severity::kWARN;
-  if (eq("error") || eq("3")) return Severity::kERROR;
-  if (eq("off") || eq("none")) return Severity::kOFF;
-  std::fprintf(stderr, "[LCE W logging] unrecognized LCE_LOG_LEVEL=%s; using INFO\n", s);
-  return fallback;
-}
-
-Severity EnvSeverity() {
-  static Severity s =
-      ParseSeverity(std::getenv("LCE_LOG_LEVEL"), Severity::kINFO);
-  return s;
-}
-
-// -1 = follow env; otherwise an explicit test override.
-std::atomic<int> g_override{-1};
-
-}  // namespace
-
 Severity MinSeverity() {
-  int o = g_override.load(std::memory_order_relaxed);
-  if (o >= 0) return static_cast<Severity>(o);
-  return EnvSeverity();
+  return static_cast<Severity>(knobs::Int(knobs::kLogLevel));
 }
 
 void SetMinSeverityForTesting(Severity s) {
-  g_override.store(static_cast<int>(s), std::memory_order_relaxed);
+  knobs::Override(knobs::kLogLevel, static_cast<int>(s));
 }
 
-void ResetMinSeverityForTesting() {
-  g_override.store(-1, std::memory_order_relaxed);
-}
+void ResetMinSeverityForTesting() { knobs::Override(knobs::kLogLevel, -1); }
 
 LogMessage::LogMessage(const char* file, int line, Severity severity)
     : file_(file), line_(line), severity_(severity) {}

@@ -9,9 +9,9 @@
 //   LCE_LOG_EVERY_N(WARN, 64) << "labeling fell back to unfiltered scan";
 //
 // Severities are DEBUG < INFO < WARN < ERROR. The threshold comes from the
-// LCE_LOG_LEVEL env var (DEBUG/INFO/WARN/ERROR/OFF, case-insensitive; default
-// INFO); messages below it cost one comparison and never evaluate their
-// stream operands.
+// LCE_LOG_LEVEL knob (DEBUG/INFO/WARN/ERROR/OFF or 0-4, case-insensitive;
+// default INFO); messages below it cost one comparison and never evaluate
+// their stream operands.
 
 #ifndef LCE_UTIL_LOGGING_H_
 #define LCE_UTIL_LOGGING_H_
@@ -43,7 +43,8 @@ enum class Severity : int { kDEBUG = 0, kINFO = 1, kWARN = 2, kERROR = 3, kOFF =
 /// Parsed once from LCE_LOG_LEVEL unless overridden for tests.
 Severity MinSeverity();
 
-/// Overrides the threshold (tests); pass ResetMinSeverity() to re-read env.
+/// Overrides the threshold (tests); ResetMinSeverityForTesting restores the
+/// env-derived one.
 void SetMinSeverityForTesting(Severity s);
 void ResetMinSeverityForTesting();
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -11,6 +10,7 @@
 #include <string>
 #include <thread>
 
+#include "src/util/knobs.h"
 #include "src/util/logging.h"
 #include "src/util/telemetry/telemetry.h"
 #include "src/util/telemetry/trace.h"
@@ -129,14 +129,10 @@ void ThreadPool::Submit(std::function<void()> task) {
 
 namespace {
 
-int DefaultThreadCount() {
-  const char* env = std::getenv("LCE_THREADS");
-  if (env != nullptr && *env != '\0') {
-    int v = std::atoi(env);
-    if (v > 0) return v;
-    LCE_LOG(WARN) << "ignoring invalid LCE_THREADS=" << env
-                  << "; using hardware concurrency";
-  }
+// LCE_THREADS, or every hardware thread when it is 0 (the default).
+int ConfiguredThreadCount() {
+  int64_t n = knobs::Int(knobs::kThreads);
+  if (n > 0) return static_cast<int>(n);
   unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? static_cast<int>(hc) : 1;
 }
@@ -152,12 +148,9 @@ ThreadPool* GlobalPool() {
   if (pool != nullptr) return pool;
   std::lock_guard<std::mutex> lock(g_pool_mu);
   if (g_pool_owner == nullptr) {
-    int size = DefaultThreadCount();
+    int size = ConfiguredThreadCount();
     LCE_LOG(DEBUG) << "thread pool: " << size << " lanes (LCE_THREADS="
-                   << (std::getenv("LCE_THREADS") != nullptr
-                           ? std::getenv("LCE_THREADS")
-                           : "<unset>")
-                   << ")";
+                   << knobs::Int(knobs::kThreads) << ")";
     g_pool_owner = std::make_unique<ThreadPool>(size);
   }
   g_pool.store(g_pool_owner.get(), std::memory_order_release);
@@ -170,8 +163,8 @@ void SetThreadCountForTesting(int size) {
   std::lock_guard<std::mutex> lock(g_pool_mu);
   g_pool.store(nullptr, std::memory_order_release);
   g_pool_owner.reset();  // joins the old workers
-  g_pool_owner =
-      std::make_unique<ThreadPool>(size > 0 ? size : DefaultThreadCount());
+  knobs::Override(knobs::kThreads, size > 0 ? size : -1);
+  g_pool_owner = std::make_unique<ThreadPool>(ConfiguredThreadCount());
   g_pool.store(g_pool_owner.get(), std::memory_order_release);
 }
 

@@ -1,50 +1,14 @@
 #include "src/util/simd.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <string_view>
+#include "src/util/knobs.h"
 
 namespace lce {
 namespace simd {
 
-namespace {
-
-std::atomic<int> g_simd_override{-1};
-std::atomic<int> g_fastmath_override{-1};
-
-bool SimdFromEnv() {
-  const char* v = std::getenv("LCE_SIMD");
-  return v == nullptr || std::string_view(v) != "0";
-}
-
-bool FastMathFromEnv() {
-  const char* v = std::getenv("LCE_FASTMATH");
-  return v != nullptr && *v != '\0' && std::string_view(v) != "0";
-}
-
-}  // namespace
-
-bool SimdEnabled() {
-  int o = g_simd_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  // The env never changes mid-process; cache the parse.
-  static const bool enabled = SimdFromEnv();
-  return enabled;
-}
+bool SimdEnabled() { return knobs::Bool(knobs::kSimd); }
 
 void SetSimdEnabledForTesting(int on) {
-  g_simd_override.store(on, std::memory_order_relaxed);
-}
-
-bool FastMathEnabled() {
-  int o = g_fastmath_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  static const bool enabled = FastMathFromEnv();
-  return enabled;
-}
-
-void SetFastMathEnabledForTesting(int on) {
-  g_fastmath_override.store(on, std::memory_order_relaxed);
+  knobs::Override(knobs::kSimd, on);
 }
 
 }  // namespace simd

@@ -1,20 +1,11 @@
-// Process-wide switches for the vectorized kernel layer (dense NN kernels in
+// Process-wide switch for the vectorized kernel layer (dense NN kernels in
 // src/nn/matrix.*, batched GBDT traversal in src/gbdt/gbdt.*).
 //
-// Two env knobs, both following the LCE_ORACLE_INDEX A/B precedent:
-//
-//   LCE_SIMD      (default on)  — "0" restores the naive reference kernels.
-//                 The two paths are bit-identical on every input by
-//                 construction (see DESIGN.md §10): the fast kernels keep the
-//                 per-element k-accumulation order of the sequential loops
-//                 and only reorganize *which* independent elements make
-//                 progress together.
-//   LCE_FASTMATH  (default off) — "1" additionally allows multi-accumulator
-//                 tile sums (vectorized reductions) in the dot-product
-//                 kernels. Faster on reduction-shaped work, but the changed
-//                 summation order breaks bit-exactness against the reference
-//                 path; only enable it where approximate reproducibility is
-//                 acceptable. Ignored when LCE_SIMD=0.
+// LCE_SIMD (default on), following the LCE_ORACLE_INDEX A/B precedent: off
+// restores the naive reference kernels. The two paths are bit-identical on
+// every input by construction (see DESIGN.md §10): the fast kernels keep the
+// per-element k-accumulation order of the sequential loops and only
+// reorganize *which* independent elements make progress together.
 
 #ifndef LCE_UTIL_SIMD_H_
 #define LCE_UTIL_SIMD_H_
@@ -22,21 +13,13 @@
 namespace lce {
 namespace simd {
 
-/// True when the vectorized kernel layer is active: LCE_SIMD unset or != "0",
-/// unless overridden by SetSimdEnabledForTesting.
+/// True when the vectorized kernel layer is active: LCE_SIMD on (the
+/// default), unless overridden by SetSimdEnabledForTesting.
 bool SimdEnabled();
 
 /// Overrides LCE_SIMD (tests, A/B benches). on >= 1 forces the vectorized
 /// path, on == 0 forces the naive reference, on < 0 restores the env default.
 void SetSimdEnabledForTesting(int on);
-
-/// True when reordered (multi-accumulator) reductions are allowed:
-/// LCE_FASTMATH set and != "0", unless overridden. Callers must also check
-/// SimdEnabled(); fast-math has no naive counterpart.
-bool FastMathEnabled();
-
-/// Overrides LCE_FASTMATH the same way.
-void SetFastMathEnabledForTesting(int on);
 
 }  // namespace simd
 }  // namespace lce

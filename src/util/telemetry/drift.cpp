@@ -1,12 +1,11 @@
 #include "src/util/telemetry/drift.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <memory>
 
+#include "src/util/knobs.h"
 #include "src/util/telemetry/flight_recorder.h"
 #include "src/util/telemetry/telemetry.h"
 
@@ -103,19 +102,6 @@ std::vector<DriftAlert> DriftMonitor::AlertHistory() const {
 
 namespace {
 
-int EnvDriftWindow() {
-  static int v = [] {
-    const char* e = std::getenv("LCE_DRIFT_WINDOW");
-    if (e == nullptr || *e == '\0') return 0;
-    int n = std::atoi(e);
-    return n > 0 ? n : 0;
-  }();
-  return v;
-}
-
-// -1 = follow LCE_DRIFT_WINDOW; >= 0 = test override.
-std::atomic<int> g_window_override{-1};
-
 struct MonitorRegistry {
   std::mutex mu;
   std::map<std::string, std::unique_ptr<DriftMonitor>> monitors;
@@ -129,25 +115,13 @@ MonitorRegistry& Monitors() {
 }  // namespace
 
 size_t DriftWindow() {
-  int o = g_window_override.load(std::memory_order_relaxed);
-  if (o >= 0) return static_cast<size_t>(o);
-  return static_cast<size_t>(EnvDriftWindow());
+  return static_cast<size_t>(knobs::Int(knobs::kDriftWindow));
 }
 
 bool DriftEnabled() { return DriftWindow() > 0; }
 
-double DriftThreshold() {
-  static double v = [] {
-    const char* e = std::getenv("LCE_DRIFT_THRESHOLD");
-    if (e == nullptr || *e == '\0') return 10.0;
-    double t = std::atof(e);
-    return t > 0 ? t : 10.0;
-  }();
-  return v;
-}
-
 void SetDriftWindowForTesting(int window) {
-  g_window_override.store(window, std::memory_order_relaxed);
+  knobs::Override(knobs::kDriftWindow, window);
 }
 
 DriftMonitor& GlobalDriftMonitor(const std::string& name) {
@@ -157,7 +131,6 @@ DriftMonitor& GlobalDriftMonitor(const std::string& name) {
   if (it == reg.monitors.end()) {
     DriftMonitor::Options opts;
     opts.window = std::max<size_t>(1, DriftWindow());
-    opts.threshold_p95 = DriftThreshold();
     it = reg.monitors
              .emplace(name, std::make_unique<DriftMonitor>(name, opts))
              .first;

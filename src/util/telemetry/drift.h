@@ -12,7 +12,7 @@
 //
 // The evaluation harness wires estimator q-errors into per-estimator global
 // monitors when LCE_DRIFT_WINDOW is set (window size from the env,
-// threshold from LCE_DRIFT_THRESHOLD, default 10). Monitors observe only;
+// threshold Options::threshold_p95, 10). Monitors observe only;
 // they never touch estimator state, so estimates are bit-identical with the
 // monitor on or off (tested). Benches may also construct monitors directly
 // with explicit options, independent of the env gate.
@@ -109,9 +109,8 @@ class DriftMonitor {
 /// positive integer, or a test override.
 bool DriftEnabled();
 
-/// The configured window (0 when disabled) and p95 threshold.
+/// The configured window (0 when disabled).
 size_t DriftWindow();
-double DriftThreshold();
 
 /// Overrides LCE_DRIFT_WINDOW (tests). window < 0 restores the env value.
 void SetDriftWindowForTesting(int window);

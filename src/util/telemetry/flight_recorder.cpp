@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -16,6 +17,7 @@
 
 #include "src/util/fs.h"
 #include "src/util/json_writer.h"
+#include "src/util/knobs.h"
 #include "src/util/logging.h"
 #include "src/util/telemetry/drift.h"
 #include "src/util/telemetry/profiler.h"
@@ -28,77 +30,19 @@ namespace telemetry {
 
 namespace {
 
-// --- env gates ------------------------------------------------------------
+// --- knobs ----------------------------------------------------------------
 
-std::atomic<int> g_enabled_override{-1};
+// Ring capacity in records (a power of two) and the per-process bundle cap.
+constexpr size_t kRingSlots = 512;
+constexpr int kMaxBundles = 8;
 
-bool EnvEnabled() {
-  static bool v = [] {
-    const char* e = std::getenv("LCE_FLIGHT_RECORDER");
-    return e == nullptr || std::string_view(e) != "0";
-  }();
-  return v;
-}
+double LatencyTriggerFactor() { return knobs::Number(knobs::kFrLatTrigger); }
 
-double EnvDoubleKnob(const char* name) {
-  const char* e = std::getenv(name);
-  if (e == nullptr || *e == '\0') return 0;
-  char* end = nullptr;
-  double v = std::strtod(e, &end);
-  if (end == nullptr || *end != '\0' || !(v > 0)) return 0;
-  return v;
-}
+bool DriftTriggerEnabled() { return knobs::Bool(knobs::kFrDrift); }
 
-bool EnvBoolKnob(const char* name) {
-  const char* e = std::getenv(name);
-  return e != nullptr && *e != '\0' && std::string_view(e) != "0";
-}
-
-// Test overrides: NaN / INT_MIN sentinels mean "use the env value".
-std::atomic<double> g_qerr_override{-1.0};
-std::atomic<double> g_lat_override{-1.0};
-std::atomic<int> g_drift_override{-1};
-std::atomic<int> g_max_bundles_override{-1};
-
-double LatencyTriggerFactor() {
-  double o = g_lat_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o;
-  static double v = EnvDoubleKnob("LCE_FR_LAT_TRIGGER");
-  return v;
-}
-
-bool DriftTriggerEnabled() {
-  int o = g_drift_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  static bool v = EnvBoolKnob("LCE_FR_DRIFT");
-  return v;
-}
-
-bool SignalTriggerEnabled() { return EnvBoolKnob("LCE_FR_SIGNAL"); }
-
-int MaxBundles() {
-  int o = g_max_bundles_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o;
-  static int v = [] {
-    const char* e = std::getenv("LCE_FR_MAX_BUNDLES");
-    if (e != nullptr && *e != '\0') {
-      char* end = nullptr;
-      long n = std::strtol(e, &end, 10);
-      if (end != nullptr && *end == '\0' && n >= 0) return static_cast<int>(n);
-    }
-    return 8;
-  }();
-  return v;
-}
-
-std::string EnvBundleRoot() {
-  if (const char* d = std::getenv("LCE_FR_DIR"); d != nullptr && *d != '\0') {
-    return d;
-  }
-  // Mirrors bench::BenchOutDir() (telemetry cannot depend on bench/).
-  const char* out = std::getenv("LCE_BENCH_OUT_DIR");
-  std::string base = (out != nullptr && *out != '\0') ? out : "bench/out";
-  return base + "/postmortem";
+std::string BundleRoot() {
+  std::string dir = knobs::String(knobs::kFrDir);
+  return !dir.empty() ? dir : knobs::String(knobs::kBenchOutDir) + "/postmortem";
 }
 
 // --- async-signal-safe formatting ----------------------------------------
@@ -219,6 +163,13 @@ std::atomic<uint64_t>* g_sig_next_seq = nullptr;
 char g_sig_root[512] = "bench/out/postmortem";
 std::atomic<bool> g_sig_in_handler{false};
 
+// Copies `root` where the signal handler reads it: the handler reads no knob.
+void SetSignalRoot(const std::string& root) {
+  size_t n = std::min(root.size(), sizeof(g_sig_root) - 1);
+  std::memcpy(g_sig_root, root.data(), n);
+  g_sig_root[n] = '\0';
+}
+
 const char* TriggerKindName(int kind) {
   static const char* names[] = {"qerr", "latency", "drift", "signal",
                                 "manual"};
@@ -335,32 +286,17 @@ void AppendRecordJson(const ForensicRecord& rec, std::string* out) {
 
 // --- gate -----------------------------------------------------------------
 
-bool FlightRecorderEnabled() {
-  int o = g_enabled_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return EnvEnabled();
-}
+bool FlightRecorderEnabled() { return knobs::Bool(knobs::kFlightRecorder); }
 
 void SetFlightRecorderEnabledForTesting(int on) {
-  g_enabled_override.store(on < 0 ? -1 : (on != 0),
-                           std::memory_order_relaxed);
+  knobs::Override(knobs::kFlightRecorder, on);
 }
 
-double QerrTriggerThreshold() {
-  double o = g_qerr_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o;
-  static double v = [] {
-    double t = EnvDoubleKnob("LCE_FR_QERR_TRIGGER");
-    return t > 1 ? t : 0;
-  }();
-  return v;
-}
+double QerrTriggerThreshold() { return knobs::Number(knobs::kFrQerrTrigger); }
 
 // --- recorder -------------------------------------------------------------
 
 struct FlightRecorder::Impl {
-  size_t slots = 0;
-  uint64_t mask = 0;
   Slot* ring = nullptr;  // leaked with the Impl; the signal handler reads it
   std::atomic<uint64_t> next_seq{0};
 
@@ -368,18 +304,13 @@ struct FlightRecorder::Impl {
   std::vector<BundleInfo> bundles;
   std::map<std::string, uint64_t> counter_snapshot;  // at the last bundle
   uint64_t last_kind_seq[kNumKinds] = {};
-  std::string root_override;  // empty = env-derived
-  bool root_overridden = false;
+  int max_bundles = kMaxBundles;
 
   std::mutex lat_mu;
   WindowedQuantileSketch lat_sketch{FlightRecorder::kLatencyWindow};
 
   std::atomic<uint64_t> trigger_counts[kNumKinds] = {};
   std::atomic<bool> signals_installed{false};
-
-  std::string BundleRootLocked() const {
-    return root_overridden ? root_override : EnvBundleRoot();
-  }
 };
 
 FlightRecorder& FlightRecorder::Global() {
@@ -388,28 +319,15 @@ FlightRecorder& FlightRecorder::Global() {
 }
 
 FlightRecorder::FlightRecorder() : impl_(new Impl()) {
-  size_t want = 512;
-  const char* e = std::getenv("LCE_FR_RING");
-  if (e != nullptr && *e != '\0') {
-    char* end = nullptr;
-    long n = std::strtol(e, &end, 10);
-    if (end != nullptr && *end == '\0' && n > 0) {
-      want = static_cast<size_t>(n);
-    }
-  }
-  size_t slots = 8;
-  while (slots < want) slots *= 2;
-  impl_->slots = slots;
-  impl_->mask = slots - 1;
-  impl_->ring = new Slot[slots];
+  impl_->ring = new Slot[kRingSlots];
   // Publish the signal-handler view before handlers can be installed.
   g_sig_ring = impl_->ring;
-  g_sig_slots = slots;
+  g_sig_slots = kRingSlots;
   g_sig_next_seq = &impl_->next_seq;
-  if (SignalTriggerEnabled()) InstallSignalHandlers();
+  if (knobs::Bool(knobs::kFrSignal)) InstallSignalHandlers();
 }
 
-size_t FlightRecorder::RingSlots() const { return impl_->slots; }
+size_t FlightRecorder::RingSlots() const { return kRingSlots; }
 
 uint64_t FlightRecorder::RecordCount() const {
   return impl_->next_seq.load(std::memory_order_relaxed);
@@ -421,7 +339,7 @@ uint64_t FlightRecorder::Append(ForensicRecord rec, bool trigger_eligible) {
   if (rec.query_hash == 0) rec.query_hash = rec.IrHash();
   uint64_t seq = impl_->next_seq.fetch_add(1, std::memory_order_relaxed) + 1;
   rec.seq = seq;
-  Slot& slot = impl_->ring[seq & impl_->mask];
+  Slot& slot = impl_->ring[seq & (kRingSlots - 1)];
   slot.state.store(2 * seq + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
   slot.rec = rec;
@@ -474,10 +392,10 @@ std::vector<ForensicRecord> FlightRecorder::SnapshotRing() const {
   std::vector<ForensicRecord> out;
   uint64_t head = impl_->next_seq.load(std::memory_order_acquire);
   if (head == 0) return out;
-  uint64_t lo = head > impl_->slots ? head - impl_->slots + 1 : 1;
+  uint64_t lo = head > kRingSlots ? head - kRingSlots + 1 : 1;
   out.reserve(head - lo + 1);
   for (uint64_t s = lo; s <= head; ++s) {
-    const Slot& slot = impl_->ring[s & impl_->mask];
+    const Slot& slot = impl_->ring[s & (kRingSlots - 1)];
     uint64_t s1 = slot.state.load(std::memory_order_acquire);
     if (s1 != 2 * s + 2) continue;  // never written, torn, or overwritten
     ForensicRecord copy = slot.rec;
@@ -530,7 +448,7 @@ Status FlightRecorder::MaybeTriggerBundle(int kind, const char* detail,
       return Status::OK();  // cooldown: deliberately not an error
     }
   }
-  if (static_cast<int>(impl_->bundles.size()) >= MaxBundles()) {
+  if (static_cast<int>(impl_->bundles.size()) >= impl_->max_bundles) {
     static Counter& suppressed =
         MetricsRegistry::Global().counter("telemetry.fr.bundles_suppressed");
     suppressed.AddAlways(1);
@@ -560,7 +478,7 @@ std::string UtcCompactTimestamp() {
 
 Status FlightRecorder::WriteBundleLocked(int kind, const char* detail,
                                          const ForensicRecord* offending) {
-  const std::string root = impl_->BundleRootLocked();
+  const std::string root = BundleRoot();
   std::string name = UtcCompactTimestamp() + "-" + TriggerKindName(kind);
   std::string dir = root + "/" + name;
   struct stat st;
@@ -652,7 +570,7 @@ void FlightRecorder::WriteJson(JsonWriter* w) const {
   std::vector<BundleInfo> bundles = Bundles();
   w->BeginObject();
   w->Key("enabled").Value(FlightRecorderEnabled());
-  w->Key("ring_slots").Value(uint64_t{impl_->slots});
+  w->Key("ring_slots").Value(uint64_t{kRingSlots});
   w->Key("records").Value(RecordCount());
   w->Key("qerr_trigger").Value(QerrTriggerThreshold());
   w->Key("latency_trigger_factor").Value(LatencyTriggerFactor());
@@ -796,13 +714,9 @@ void FlightRecorderSignalHandler(int signo) {
 void FlightRecorder::InstallSignalHandlers() {
   if (impl_->signals_installed.exchange(true)) return;
   {
-    // Pre-resolve the bundle root: getenv inside a handler is unsafe.
+    // Pre-resolve the bundle root: reading a knob inside a handler is unsafe.
     std::lock_guard<std::mutex> lock(impl_->bundle_mu);
-    std::string root = impl_->BundleRootLocked();
-    size_t n = root.size() < sizeof(g_sig_root) - 1 ? root.size()
-                                                    : sizeof(g_sig_root) - 1;
-    std::memcpy(g_sig_root, root.data(), n);
-    g_sig_root[n] = '\0';
+    SetSignalRoot(BundleRoot());
   }
   struct sigaction sa;
   std::memset(&sa, 0, sizeof(sa));
@@ -819,37 +733,31 @@ void FlightRecorder::InstallSignalHandlers() {
 
 void FlightRecorder::SetBundleRootForTesting(const char* dir) {
   std::lock_guard<std::mutex> lock(impl_->bundle_mu);
-  impl_->root_overridden = dir != nullptr;
-  impl_->root_override = dir != nullptr ? dir : "";
-  if (dir != nullptr) {
-    size_t n = impl_->root_override.size() < sizeof(g_sig_root) - 1
-                   ? impl_->root_override.size()
-                   : sizeof(g_sig_root) - 1;
-    std::memcpy(g_sig_root, impl_->root_override.data(), n);
-    g_sig_root[n] = '\0';
-  }
+  knobs::OverrideText(knobs::kFrDir, dir);
+  SetSignalRoot(BundleRoot());
 }
 
 void FlightRecorder::SetQerrTriggerForTesting(double t) {
-  g_qerr_override.store(t, std::memory_order_relaxed);
+  knobs::Override(knobs::kFrQerrTrigger, t);
 }
 
 void FlightRecorder::SetLatencyTriggerForTesting(double factor) {
-  g_lat_override.store(factor, std::memory_order_relaxed);
+  knobs::Override(knobs::kFrLatTrigger, factor);
 }
 
 void FlightRecorder::SetDriftTriggerForTesting(int on) {
-  g_drift_override.store(on, std::memory_order_relaxed);
+  knobs::Override(knobs::kFrDrift, on);
 }
 
 void FlightRecorder::SetMaxBundlesForTesting(int n) {
-  g_max_bundles_override.store(n, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(impl_->bundle_mu);
+  impl_->max_bundles = n < 0 ? kMaxBundles : n;
 }
 
 void FlightRecorder::ResetForTesting() {
   std::lock_guard<std::mutex> lock(impl_->bundle_mu);
   impl_->next_seq.store(0, std::memory_order_relaxed);
-  for (size_t i = 0; i < impl_->slots; ++i) {
+  for (size_t i = 0; i < kRingSlots; ++i) {
     impl_->ring[i].state.store(0, std::memory_order_relaxed);
   }
   impl_->bundles.clear();

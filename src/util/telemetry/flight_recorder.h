@@ -59,15 +59,15 @@ class JsonWriter;
 
 namespace telemetry {
 
-/// True when the recorder accepts records: LCE_FLIGHT_RECORDER unset or
-/// anything but "0", or a test override. A relaxed load; safe on hot paths.
+/// True when the recorder accepts records: LCE_FLIGHT_RECORDER on (the
+/// default), or a test override. A relaxed load; safe on hot paths.
 bool FlightRecorderEnabled();
 
 /// Overrides LCE_FLIGHT_RECORDER (tests). on < 0 restores the env value.
 void SetFlightRecorderEnabledForTesting(int on);
 
-/// The q-error bundle trigger threshold: LCE_FR_QERR_TRIGGER when set to a
-/// finite value > 1, else 0 (disabled). Exposed so the evaluation harness
+/// The q-error bundle trigger threshold: LCE_FR_QERR_TRIGGER, 0 when
+/// disabled (the default). Exposed so the evaluation harness
 /// can enrich offending queries with full diagnostics before the trigger
 /// record is appended.
 double QerrTriggerThreshold();
@@ -166,8 +166,7 @@ class FlightRecorder {
  public:
   static FlightRecorder& Global();
 
-  /// Ring capacity in records: LCE_FR_RING when a positive integer (rounded
-  /// up to a power of two), else 512.
+  /// Ring capacity in records (512).
   size_t RingSlots() const;
 
   /// Appends one record (no-op while the recorder is disabled). Fills
@@ -208,9 +207,10 @@ class FlightRecorder {
   /// non-"0"; idempotent.
   void InstallSignalHandlers();
 
-  /// Test hooks. Root/threshold overrides pass nullptr to restore the
-  /// env-derived value; ResetForTesting drops ring contents, bundle list,
-  /// and the latency sketch (the ring allocation itself persists).
+  /// Test hooks. Root/threshold/cap overrides pass nullptr or a negative
+  /// value to restore the env-derived value (the cap: 8 bundles);
+  /// ResetForTesting drops ring contents, bundle list, and the latency
+  /// sketch (the ring allocation itself persists).
   void SetBundleRootForTesting(const char* dir);
   void SetQerrTriggerForTesting(double threshold_or_negative);
   void SetLatencyTriggerForTesting(double factor_or_negative);

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdlib>
-#include <mutex>
 #include <utility>
 #include <vector>
 
 #include "src/util/fs.h"
+#include "src/util/knobs.h"
 #include "src/util/logging.h"
 #include "src/util/telemetry/telemetry.h"
 
@@ -15,14 +14,6 @@ namespace lce {
 namespace telemetry {
 
 namespace {
-
-std::mutex g_path_mu;
-const std::string* g_path_override = nullptr;  // leaked on override
-
-std::string EnvPath() {
-  const char* v = std::getenv("LCE_METRICS_SNAPSHOT");
-  return (v != nullptr && *v != '\0') ? v : "";
-}
 
 void AppendNumber(std::string* out, double v) {
   char buf[64];
@@ -43,18 +34,14 @@ void AppendLine(std::string* out, const std::string& name, double v) {
 
 }  // namespace
 
-bool MetricsSnapshotEnabled() { return !MetricsSnapshotPath().empty(); }
+bool MetricsSnapshotEnabled() { return knobs::Bool(knobs::kMetricsSnapshot); }
 
 std::string MetricsSnapshotPath() {
-  std::lock_guard<std::mutex> lock(g_path_mu);
-  if (g_path_override != nullptr) return *g_path_override;
-  return EnvPath();
+  return knobs::String(knobs::kMetricsSnapshot);
 }
 
 void SetMetricsSnapshotPathForTesting(const char* path) {
-  std::lock_guard<std::mutex> lock(g_path_mu);
-  delete g_path_override;
-  g_path_override = path != nullptr ? new std::string(path) : nullptr;
+  knobs::OverrideText(knobs::kMetricsSnapshot, path);
 }
 
 std::string PrometheusName(const std::string& name) {

@@ -1,78 +1,24 @@
 #include "src/util/telemetry/profiler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
 #include <unordered_map>
 
 #include "src/util/fs.h"
+#include "src/util/knobs.h"
 #include "src/util/logging.h"
 #include "src/util/telemetry/telemetry.h"
 
 namespace lce {
 namespace telemetry {
 
-namespace {
-
-std::string EnvProfilePath() {
-  static std::string v = [] {
-    const char* e = std::getenv("LCE_PROFILE");
-    if (e == nullptr || *e == '\0' || std::strcmp(e, "0") == 0) {
-      return std::string();
-    }
-    if (std::strcmp(e, "1") == 0) return std::string("lce_profile.collapsed");
-    return std::string(e);
-  }();
-  return v;
-}
-
-std::mutex g_path_mu;
-bool g_path_overridden = false;
-std::string g_path_override;
-std::atomic<bool> g_enabled{false};
-std::atomic<bool> g_enabled_initialized{false};
-
-void InitEnabledFlag() {
-  if (g_enabled_initialized.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(g_path_mu);
-  if (g_enabled_initialized.load(std::memory_order_relaxed)) return;
-  bool on = !EnvProfilePath().empty();
-  g_enabled.store(on, std::memory_order_relaxed);
-  g_enabled_initialized.store(true, std::memory_order_release);
-  if (on) {
-    // Processes that never construct a BenchRun still get their profile.
-    std::atexit([] { WriteProfileIfEnabled(); });
-  }
-}
-
-}  // namespace
-
-bool ProfileEnabled() {
-  InitEnabledFlag();
-  return g_enabled.load(std::memory_order_relaxed);
-}
+bool ProfileEnabled() { return knobs::Bool(knobs::kProfile); }
 
 void SetProfilePathForTesting(const char* path) {
-  InitEnabledFlag();
-  std::lock_guard<std::mutex> lock(g_path_mu);
-  if (path == nullptr) {
-    g_path_overridden = false;
-    g_enabled.store(!EnvProfilePath().empty(), std::memory_order_relaxed);
-  } else {
-    g_path_overridden = true;
-    g_path_override = path;
-    g_enabled.store(!g_path_override.empty(), std::memory_order_relaxed);
-  }
+  knobs::OverrideText(knobs::kProfile, path);
 }
 
-std::string ProfilePath() {
-  InitEnabledFlag();
-  std::lock_guard<std::mutex> lock(g_path_mu);
-  return g_path_overridden ? g_path_override : EnvProfilePath();
-}
+std::string ProfilePath() { return knobs::String(knobs::kProfile); }
 
 std::vector<ProfileNode> BuildProfile(const std::vector<TraceEvent>& events) {
   // Span id -> event index, for parent-chain walks across threads.

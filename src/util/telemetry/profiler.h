@@ -33,8 +33,8 @@
 namespace lce {
 namespace telemetry {
 
-/// True when profiling is on (LCE_PROFILE set to anything but "0", or a test
-/// override). A relaxed load; safe on hot paths.
+/// True when profiling is on (LCE_PROFILE names a path, or a test override).
+/// A relaxed load; safe on hot paths.
 bool ProfileEnabled();
 
 /// Overrides the profile destination (tests). Empty path disables profiling;

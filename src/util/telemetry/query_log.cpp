@@ -1,72 +1,28 @@
 #include "src/util/telemetry/query_log.h"
 
-#include <atomic>
 #include <cstdlib>
-#include <mutex>
+
+#include "src/util/knobs.h"
 
 namespace lce {
 namespace telemetry {
 
-namespace {
+bool QueryLogEnabled() { return knobs::Bool(knobs::kQueryLog); }
 
-std::string EnvQueryLogPath() {
-  static std::string v = [] {
-    const char* e = std::getenv("LCE_QUERY_LOG");
-    return std::string(e != nullptr ? e : "");
-  }();
-  return v;
-}
-
-std::mutex g_path_mu;
-bool g_path_overridden = false;
-std::string g_path_override;
-// Fast-path flag mirroring "path is non-empty".
-std::atomic<bool> g_enabled{false};
-std::atomic<bool> g_enabled_initialized{false};
-
-void InitEnabledFlag() {
-  if (g_enabled_initialized.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(g_path_mu);
-  if (g_enabled_initialized.load(std::memory_order_relaxed)) return;
-  bool on = !EnvQueryLogPath().empty();
-  g_enabled.store(on, std::memory_order_relaxed);
-  g_enabled_initialized.store(true, std::memory_order_release);
-  if (on) {
-    // Tools and examples that never construct a BenchRun still get the tail.
-    std::atexit([] { QueryLog::Global().Flush(); });
-  }
-}
-
-}  // namespace
-
-bool QueryLogEnabled() {
-  InitEnabledFlag();
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
-std::string QueryLogPath() {
-  InitEnabledFlag();
-  std::lock_guard<std::mutex> lock(g_path_mu);
-  return g_path_overridden ? g_path_override : EnvQueryLogPath();
-}
+std::string QueryLogPath() { return knobs::String(knobs::kQueryLog); }
 
 void SetQueryLogPathForTesting(const char* path) {
-  InitEnabledFlag();
   QueryLog::Global().Flush();
   QueryLog::Global().ResetForTesting();
-  std::lock_guard<std::mutex> lock(g_path_mu);
-  if (path == nullptr) {
-    g_path_overridden = false;
-    g_enabled.store(!EnvQueryLogPath().empty(), std::memory_order_relaxed);
-  } else {
-    g_path_overridden = true;
-    g_path_override = path;
-    g_enabled.store(!g_path_override.empty(), std::memory_order_relaxed);
-  }
+  knobs::OverrideText(knobs::kQueryLog, path);
 }
 
 QueryLog& QueryLog::Global() {
-  static QueryLog* log = new QueryLog();
+  static QueryLog* log = [] {
+    // Tools and examples that never construct a BenchRun still get the tail.
+    std::atexit([] { QueryLog::Global().Flush(); });
+    return new QueryLog();
+  }();
   return *log;
 }
 

@@ -3,25 +3,22 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/util/fs.h"
 #include "src/util/json_writer.h"
+#include "src/util/knobs.h"
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 #include "src/util/telemetry/drift.h"
 #include "src/util/telemetry/flight_recorder.h"
 #include "src/util/telemetry/memory.h"
 #include "src/util/telemetry/model_card.h"
-#include "src/util/telemetry/profiler.h"
-#include "src/util/telemetry/query_log.h"
 #include "src/util/telemetry/telemetry.h"
-#include "src/util/telemetry/trace.h"
-#include "src/util/telemetry/train_log.h"
 
 #ifndef LCE_GIT_COMMIT
 #define LCE_GIT_COMMIT "unknown"
@@ -40,16 +37,6 @@ std::string UtcTimestamp() {
   char buf[32];
   std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
   return buf;
-}
-
-void WriteEnvEntry(JsonWriter* w, const char* name) {
-  const char* v = std::getenv(name);
-  w->Key(name);
-  if (v == nullptr) {
-    w->Null();
-  } else {
-    w->Value(v);
-  }
 }
 
 // Digests phase.<key>.ns / phase.<key>.calls counter pairs into a
@@ -126,89 +113,22 @@ std::string RunManifestJson(const std::string& bench_name,
       .Key("hardware_concurrency")
       .Value(uint64_t{std::thread::hardware_concurrency()})
       .EndObject();
-  w.Key("env").BeginObject();
-  WriteEnvEntry(&w, "LCE_THREADS");
-  WriteEnvEntry(&w, "LCE_METRICS");
-  WriteEnvEntry(&w, "LCE_TRACE");
-  WriteEnvEntry(&w, "LCE_LOG_LEVEL");
-  WriteEnvEntry(&w, "LCE_QUERY_LOG");
-  WriteEnvEntry(&w, "LCE_TRAIN_LOG");
-  WriteEnvEntry(&w, "LCE_DRIFT_WINDOW");
-  WriteEnvEntry(&w, "LCE_DRIFT_THRESHOLD");
-  WriteEnvEntry(&w, "LCE_BENCH_OUT_DIR");
-  WriteEnvEntry(&w, "LCE_BENCH_LATENCY_SAMPLES");
-  WriteEnvEntry(&w, "LCE_ORACLE_INDEX");
-  WriteEnvEntry(&w, "LCE_BITMAP_CACHE_SIZE");
-  WriteEnvEntry(&w, "LCE_SIMD");
-  WriteEnvEntry(&w, "LCE_FASTMATH");
-  WriteEnvEntry(&w, "LCE_PROFILE");
-  WriteEnvEntry(&w, "LCE_FLIGHT_RECORDER");
-  WriteEnvEntry(&w, "LCE_FR_QERR_TRIGGER");
-  WriteEnvEntry(&w, "LCE_FR_LAT_TRIGGER");
-  WriteEnvEntry(&w, "LCE_FR_DRIFT");
-  WriteEnvEntry(&w, "LCE_FR_SIGNAL");
-  WriteEnvEntry(&w, "LCE_FR_DIR");
-  WriteEnvEntry(&w, "LCE_FR_RING");
-  WriteEnvEntry(&w, "LCE_FR_MAX_BUNDLES");
-  WriteEnvEntry(&w, "LCE_METRICS_SNAPSHOT");
-  WriteEnvEntry(&w, "LCE_SERVE_BATCH");
-  WriteEnvEntry(&w, "LCE_SERVE_BATCH_US");
-  WriteEnvEntry(&w, "LCE_SERVE_MAX_BATCH");
-  w.EndObject();
-  // Mirrors exec::OracleIndexEnabled()'s env parse (telemetry cannot depend
-  // on exec); test-only overrides are not reflected here.
-  {
-    const char* v = std::getenv("LCE_ORACLE_INDEX");
-    w.Key("oracle_index_enabled")
-        .Value(v == nullptr || std::string_view(v) != "0");
-  }
-  // Mirrors simd::SimdEnabled()/FastMathEnabled()'s env parses (telemetry
-  // cannot depend on the kernel layer); test-only overrides not reflected.
-  {
-    const char* v = std::getenv("LCE_SIMD");
-    w.Key("simd_enabled").Value(v == nullptr || std::string_view(v) != "0");
-    const char* f = std::getenv("LCE_FASTMATH");
-    w.Key("fastmath_enabled")
-        .Value(f != nullptr && *f != '\0' && std::string_view(f) != "0");
-  }
+  w.Key("config");
+  knobs::WriteConfigJson(&w);
+  w.Key("oracle_index_enabled").Value(knobs::Bool(knobs::kOracleIndex));
   w.Key("metrics_enabled").Value(MetricsEnabled());
-  w.Key("trace_path");
-  if (TraceEnabled()) {
-    w.Value(TracePath());
-  } else {
-    w.Null();
-  }
-  w.Key("profile_path");
-  if (ProfileEnabled()) {
-    w.Value(ProfilePath());
-  } else {
-    w.Null();
-  }
-  w.Key("query_log");
-  if (QueryLogEnabled()) {
-    w.Value(QueryLogPath());
-  } else {
-    w.Null();
-  }
-  w.Key("train_log");
-  if (TrainLogEnabled()) {
-    w.Value(TrainLogPath());
-  } else {
-    w.Null();
-  }
-  // Mirrors eval::LatencySampleCap()'s env parse (telemetry cannot depend on
-  // eval): LCE_BENCH_LATENCY_SAMPLES when a positive integer, else 200.
-  {
-    uint64_t cap = 200;
-    const char* v = std::getenv("LCE_BENCH_LATENCY_SAMPLES");
-    if (v != nullptr && *v != '\0') {
-      char* end = nullptr;
-      long n = std::strtol(v, &end, 10);
-      if (end != nullptr && *end == '\0' && n > 0) {
-        cap = static_cast<uint64_t>(n);
-      }
+  // The sink paths again at the top level, where readers older than
+  // `config` look for them.
+  for (auto [key, knob] : {std::pair{"trace_path", knobs::kTrace},
+                           {"profile_path", knobs::kProfile},
+                           {"query_log", knobs::kQueryLog},
+                           {"train_log", knobs::kTrainLog}}) {
+    w.Key(key);
+    if (std::string path = knobs::String(knob); !path.empty()) {
+      w.Value(path);
+    } else {
+      w.Null();
     }
-    w.Key("latency_sample_cap").Value(cap);
   }
   w.Key("model_cards").BeginArray();
   for (const ModelCard& card : ModelCardRegistry::Global().Snapshot()) {

@@ -2,7 +2,8 @@
 //
 // A manifest records everything needed to interpret one bench run as a point
 // on a perf trajectory: git commit, UTC timestamp, thread configuration, the
-// telemetry env knobs in effect, wall-clock, and — when LCE_METRICS is on —
+// value of every LCE_* knob in effect (`config`, src/util/knobs.h),
+// wall-clock, and — when LCE_METRICS is on —
 // a full metrics snapshot plus a digested per-phase breakdown (total ms,
 // calls, mean us per phase.<scope>:<name> pair). Written as
 // BENCH_manifest_<name>.json next to the bench's other outputs.

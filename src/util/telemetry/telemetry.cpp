@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <unordered_map>
 
 #include "src/util/json_writer.h"
+#include "src/util/knobs.h"
 #include "src/util/telemetry/trace.h"
 
 namespace lce {
@@ -16,29 +15,14 @@ namespace telemetry {
 
 namespace {
 
-bool EnvMetricsEnabled() {
-  static bool v = [] {
-    const char* e = std::getenv("LCE_METRICS");
-    return e != nullptr && *e != '\0' && std::strcmp(e, "0") != 0;
-  }();
-  return v;
-}
-
-// -1 = follow LCE_METRICS; 0/1 = test override.
-std::atomic<int> g_metrics_override{-1};
-
 thread_local std::string tls_phase_scope;
 
 }  // namespace
 
-bool MetricsEnabled() {
-  int o = g_metrics_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return EnvMetricsEnabled();
-}
+bool MetricsEnabled() { return knobs::Bool(knobs::kMetrics); }
 
 void SetMetricsEnabledForTesting(int on) {
-  g_metrics_override.store(on < 0 ? -1 : (on != 0), std::memory_order_relaxed);
+  knobs::Override(knobs::kMetrics, on);
 }
 
 int64_t MonotonicNanos() {

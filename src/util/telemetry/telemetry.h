@@ -37,8 +37,8 @@ class JsonWriter;
 
 namespace telemetry {
 
-/// True when metric collection is on: LCE_METRICS set to anything but "0",
-/// or overridden for tests. A relaxed load; safe and cheap on hot paths.
+/// True when metric collection is on: LCE_METRICS on, or overridden for
+/// tests. A relaxed load; safe and cheap on hot paths.
 bool MetricsEnabled();
 
 /// Overrides LCE_METRICS (tests). on<0 restores the env-derived value.

@@ -10,6 +10,7 @@
 
 #include "src/util/fs.h"
 #include "src/util/json_writer.h"
+#include "src/util/knobs.h"
 #include "src/util/logging.h"
 #include "src/util/telemetry/profiler.h"
 #include "src/util/telemetry/telemetry.h"
@@ -62,7 +63,15 @@ struct TraceState {
 };
 
 TraceState& State() {
-  static TraceState* state = new TraceState();
+  static TraceState* state = [] {
+    // A process that records spans writes its trace and profile at exit,
+    // even if it never constructs a BenchRun (examples, tools).
+    std::atexit([] {
+      WriteTraceIfEnabled();
+      WriteProfileIfEnabled();
+    });
+    return new TraceState();
+  }();
   return *state;
 }
 
@@ -78,66 +87,22 @@ ThreadTraceBuffer& LocalBuffer() {
   return *buffer;
 }
 
-std::string EnvTracePath() {
-  static std::string v = [] {
-    const char* e = std::getenv("LCE_TRACE");
-    return std::string(e != nullptr ? e : "");
-  }();
-  return v;
-}
-
 // Span-id plumbing: ids are process-unique; each thread tracks the innermost
 // live span so nested (and pool-adopted) spans can record their parent.
 std::atomic<uint64_t> g_next_span_id{1};
 thread_local uint64_t tls_current_span_id = 0;
 
-std::mutex g_path_mu;
-bool g_path_overridden = false;
-std::string g_path_override;
-// Fast-path flag mirroring "path is non-empty".
-std::atomic<bool> g_enabled{false};
-std::atomic<bool> g_enabled_initialized{false};
-
-void InitEnabledFlag() {
-  if (g_enabled_initialized.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(g_path_mu);
-  if (g_enabled_initialized.load(std::memory_order_relaxed)) return;
-  bool on = !EnvTracePath().empty();
-  g_enabled.store(on, std::memory_order_relaxed);
-  g_enabled_initialized.store(true, std::memory_order_release);
-  if (on) {
-    // Examples/tests that never construct a BenchRun still get their trace.
-    std::atexit([] { WriteTraceIfEnabled(); });
-  }
-}
-
 }  // namespace
 
-bool TraceEnabled() {
-  InitEnabledFlag();
-  return g_enabled.load(std::memory_order_relaxed);
-}
+bool TraceEnabled() { return knobs::Bool(knobs::kTrace); }
 
 bool SpanRecordingEnabled() { return TraceEnabled() || ProfileEnabled(); }
 
 void SetTracePathForTesting(const char* path) {
-  InitEnabledFlag();
-  std::lock_guard<std::mutex> lock(g_path_mu);
-  if (path == nullptr) {
-    g_path_overridden = false;
-    g_enabled.store(!EnvTracePath().empty(), std::memory_order_relaxed);
-  } else {
-    g_path_overridden = true;
-    g_path_override = path;
-    g_enabled.store(!g_path_override.empty(), std::memory_order_relaxed);
-  }
+  knobs::OverrideText(knobs::kTrace, path);
 }
 
-std::string TracePath() {
-  InitEnabledFlag();
-  std::lock_guard<std::mutex> lock(g_path_mu);
-  return g_path_overridden ? g_path_override : EnvTracePath();
-}
+std::string TracePath() { return knobs::String(knobs::kTrace); }
 
 uint64_t CurrentSpanId() { return tls_current_span_id; }
 

@@ -1,44 +1,15 @@
 #include "src/util/telemetry/train_log.h"
 
-#include <atomic>
 #include <cstdlib>
-#include <mutex>
 
 #include "src/util/json_writer.h"
+#include "src/util/knobs.h"
 #include "src/util/telemetry/telemetry.h"
 
 namespace lce {
 namespace telemetry {
 
 namespace {
-
-std::string EnvTrainLogPath() {
-  static std::string v = [] {
-    const char* e = std::getenv("LCE_TRAIN_LOG");
-    return std::string(e != nullptr ? e : "");
-  }();
-  return v;
-}
-
-std::mutex g_path_mu;
-bool g_path_overridden = false;
-std::string g_path_override;
-// Fast-path flag mirroring "path is non-empty".
-std::atomic<bool> g_enabled{false};
-std::atomic<bool> g_enabled_initialized{false};
-
-void InitEnabledFlag() {
-  if (g_enabled_initialized.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(g_path_mu);
-  if (g_enabled_initialized.load(std::memory_order_relaxed)) return;
-  bool on = !EnvTrainLogPath().empty();
-  g_enabled.store(on, std::memory_order_relaxed);
-  g_enabled_initialized.store(true, std::memory_order_release);
-  if (on) {
-    // Tools and examples that never construct a BenchRun still get the tail.
-    std::atexit([] { TrainLog::Global().Flush(); });
-  }
-}
 
 void WriteOptionalDouble(JsonWriter& w, const char* key, double v) {
   w.Key(key);
@@ -51,30 +22,14 @@ void WriteOptionalDouble(JsonWriter& w, const char* key, double v) {
 
 }  // namespace
 
-bool TrainLogEnabled() {
-  InitEnabledFlag();
-  return g_enabled.load(std::memory_order_relaxed);
-}
+bool TrainLogEnabled() { return knobs::Bool(knobs::kTrainLog); }
 
-std::string TrainLogPath() {
-  InitEnabledFlag();
-  std::lock_guard<std::mutex> lock(g_path_mu);
-  return g_path_overridden ? g_path_override : EnvTrainLogPath();
-}
+std::string TrainLogPath() { return knobs::String(knobs::kTrainLog); }
 
 void SetTrainLogPathForTesting(const char* path) {
-  InitEnabledFlag();
   TrainLog::Global().Flush();
   TrainLog::Global().ResetForTesting();
-  std::lock_guard<std::mutex> lock(g_path_mu);
-  if (path == nullptr) {
-    g_path_overridden = false;
-    g_enabled.store(!EnvTrainLogPath().empty(), std::memory_order_relaxed);
-  } else {
-    g_path_overridden = true;
-    g_path_override = path;
-    g_enabled.store(!g_path_override.empty(), std::memory_order_relaxed);
-  }
+  knobs::OverrideText(knobs::kTrainLog, path);
 }
 
 std::string TrainingEvent::ToJsonLine() const {
@@ -117,7 +72,11 @@ std::string TrainingEvent::ToJsonLine() const {
 }
 
 TrainLog& TrainLog::Global() {
-  static TrainLog* log = new TrainLog();
+  static TrainLog* log = [] {
+    // Tools and examples that never construct a BenchRun still get the tail.
+    std::atexit([] { TrainLog::Global().Flush(); });
+    return new TrainLog();
+  }();
   return *log;
 }
 

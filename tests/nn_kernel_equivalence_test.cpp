@@ -30,12 +30,11 @@ namespace lce {
 namespace nn {
 namespace {
 
-// Restores both kernel knobs and the pool size on scope exit, so a failing
+// Restores the kernel knob and the pool size on scope exit, so a failing
 // assertion cannot leak state into later tests.
 struct KernelEnvGuard {
   ~KernelEnvGuard() {
     simd::SetSimdEnabledForTesting(-1);
-    simd::SetFastMathEnabledForTesting(-1);
     parallel::SetThreadCountForTesting(0);
   }
 };
@@ -578,26 +577,6 @@ TEST(KernelEquivalenceTest, RnnBatchedBpttMatchesOneSequenceCalls) {
 
 TEST(KernelEquivalenceTest, LstmBatchedBpttMatchesOneSequenceCalls) {
   ExpectBatchedBpttMatchesOneSequenceCalls<LstmCell>(5, 12);
-}
-
-// LCE_FASTMATH reorders dot-product accumulation: not bit-identical (that is
-// the documented trade), but it must stay numerically close.
-TEST(KernelEquivalenceTest, FastMathTransBIsCloseButUnordered) {
-  KernelEnvGuard guard;
-  Rng rng(5);
-  Matrix a = RandomMatrix(3, 257, &rng);
-  Matrix b = RandomMatrix(5, 257, &rng);
-  simd::SetSimdEnabledForTesting(1);
-  simd::SetFastMathEnabledForTesting(0);
-  Matrix exact = MatMulTransB(a, b);
-  simd::SetFastMathEnabledForTesting(1);
-  Matrix fast = MatMulTransB(a, b);
-  for (int r = 0; r < exact.rows(); ++r) {
-    for (int c = 0; c < exact.cols(); ++c) {
-      EXPECT_NEAR(fast.At(r, c), exact.At(r, c),
-                  1e-4 * (1.0 + std::abs(exact.At(r, c))));
-    }
-  }
 }
 
 }  // namespace

@@ -98,7 +98,7 @@ TEST(OracleEquivalenceTest, IndexedPathIsBitIdenticalAcrossThreadCounts) {
     struct Config {
       int oracle_index;
       int threads;
-      int cache_capacity;  // -1 = env default
+      int cache_capacity;  // -1 = the default
     };
     for (const Config& cfg : std::vector<Config>{{0, 4, -1},
                                                  {1, 1, -1},

@@ -300,10 +300,9 @@ TEST_F(TrainLogTest, ManifestCarriesModelCardsAndMemory) {
       mem->Find("subsystems")->Find("model");
   ASSERT_NE(model_bytes, nullptr);
   EXPECT_GT(model_bytes->number, 0.0);
-  // Training-log path and latency cap are recorded alongside.
+  // The training-log path is recorded alongside.
   ASSERT_NE(v.Find("train_log"), nullptr);
   EXPECT_EQ(v.Find("train_log")->string, path_);
-  EXPECT_GT(v.Find("latency_sample_cap")->number, 0.0);
   ASSERT_NE(v.Find("drift_alerts"), nullptr);
 }
 
