@@ -24,12 +24,9 @@
 #include "src/util/telemetry/memory.h"
 #include "src/util/telemetry/metrics_snapshot.h"
 #include "src/util/telemetry/model_card.h"
-#include "src/util/telemetry/profiler.h"
-#include "src/util/telemetry/query_log.h"
 #include "src/util/telemetry/run_manifest.h"
 #include "src/util/telemetry/telemetry.h"
 #include "src/util/telemetry/trace.h"
-#include "src/util/telemetry/train_log.h"
 #include "src/util/timer.h"
 #include "src/workload/generator.h"
 
@@ -93,8 +90,9 @@ inline BenchDb MakeBenchDb(const storage::datagen::DatabaseGenSpec& spec,
   out.db = storage::datagen::Generate(spec, cfg.seed);
   out.executor = std::make_unique<exec::Executor>(out.db.get());
   // This is the ground-truth oracle the benches replay plans against; its
-  // calls go to the query log (LCE_QUERY_LOG). The generator's bulk labeler
-  // and the sampling estimator's internal executor stay un-logged.
+  // calls go to the flight recorder and the query log (LCE_QUERY_LOG). The
+  // generator's bulk labeler and the sampling estimator's internal executor
+  // stay un-logged.
   out.executor->EnableQueryLog();
   workload::WorkloadOptions wopts;
   wopts.max_joins = out.db->num_tables() > 1 ? cfg.max_joins : 0;
@@ -179,9 +177,10 @@ inline EstimatorRun RunEstimator(const std::string& name, const BenchDb& bench,
   return run;
 }
 
-/// RAII per-binary harness: times the whole run and, on destruction, flushes
-/// the query log and writes BenchOutDir()/BENCH_manifest_<name>.json plus the
-/// LCE_TRACE file (if enabled).
+/// RAII per-binary harness: times the whole run and, on destruction, writes
+/// BenchOutDir()/BENCH_manifest_<name>.json and the LCE_METRICS_SNAPSHOT
+/// file (if enabled). The trace, profile, query log and training log are
+/// written by their own exit hooks.
 class BenchRun {
  public:
   explicit BenchRun(std::string name) : name_(std::move(name)) {
@@ -191,13 +190,9 @@ class BenchRun {
                   << parallel::ThreadCount() << " threads)";
   }
   ~BenchRun() {
-    telemetry::QueryLog::Global().Flush();
-    telemetry::TrainLog::Global().Flush();
     telemetry::WriteRunManifest(
         BenchOutPath("BENCH_manifest_" + name_ + ".json"), name_,
         timer_.ElapsedSeconds());
-    telemetry::WriteTraceIfEnabled();
-    telemetry::WriteProfileIfEnabled();
     telemetry::WriteMetricsSnapshotIfEnabled();
   }
   BenchRun(const BenchRun&) = delete;

@@ -582,6 +582,9 @@ void WriteKernelReportJson(const std::string& path) {
 
 int main(int argc, char** argv) {
   lce::Timer wall;
+  // Naming the thread registers the trace buffers, whose exit hook writes
+  // LCE_TRACE and LCE_PROFILE, as BenchRun does for the experiment benches.
+  lce::telemetry::SetCurrentThreadName("main");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
@@ -591,6 +594,5 @@ int main(int argc, char** argv) {
   lce::telemetry::WriteRunManifest(
       lce::bench::BenchOutPath("BENCH_manifest_micro_kernels.json"),
       "micro_kernels", wall.ElapsedSeconds());
-  lce::telemetry::WriteTraceIfEnabled();
   return 0;
 }

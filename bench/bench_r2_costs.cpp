@@ -21,8 +21,8 @@ int main() {
 
   for (BenchDb& bench : dbs) {
     std::printf("\n-- database: %s --\n", bench.name.c_str());
-    TablePrinter table({"estimator", "build_s", "infer_us", "infer_p95_us",
-                        "size_KiB", "geo-mean q-err"});
+    TablePrinter table({"estimator", "build_s", "infer_us", "infer_p50_us",
+                        "infer_p95_us", "size_KiB", "geo-mean q-err"});
     size_t measured = 0, total = 0;
     bool capped = false;
     for (const std::string& name : ce::AllEstimatorNames()) {
@@ -33,6 +33,7 @@ int main() {
       capped = capped || run.latency.capped;
       table.AddRow({name, TablePrinter::Fixed(run.build_seconds, 3),
                     TablePrinter::Fixed(run.latency.micros.mean, 1),
+                    TablePrinter::Fixed(run.latency.micros.p50, 1),
                     TablePrinter::Fixed(run.latency.micros.p95, 1),
                     TablePrinter::Fixed(
                         static_cast<double>(run.size_bytes) / 1024.0, 1),

@@ -37,7 +37,6 @@
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 #include "src/util/telemetry/flight_recorder.h"
-#include "src/util/telemetry/query_log.h"
 #include "src/util/telemetry/stage_timer.h"
 #include "src/util/telemetry/telemetry.h"
 #include "src/util/telemetry/trace.h"
@@ -138,8 +137,9 @@ std::vector<PrimitiveCost> MeasurePrimitives(const std::string& trace_path) {
 
   // fr_record: a realistic ForensicRecord (two tables, two predicates with
   // attributed selectivities) through FlightRecorder::Append — the full copy,
-  // hash fill, seqlock publish, and trigger checks. Gated by the recorder's
-  // own knob rather than LCE_METRICS, so this row toggles that instead.
+  // seqlock publish, and trigger checks (the query hash is the record
+  // builder's work, not Append's). Gated by the recorder's own knob rather
+  // than LCE_METRICS, so this row toggles that instead.
   {
     telemetry::ForensicRecord proto;
     telemetry::SetFrName(proto.estimator, sizeof(proto.estimator),

@@ -1,78 +1,67 @@
 #include "src/ce/explain.h"
 
-#include "src/util/json_writer.h"
+#include <algorithm>
+
+#include "src/util/telemetry/flight_recorder.h"
+#include "src/util/telemetry/telemetry.h"
 
 namespace lce {
 namespace ce {
-
-namespace {
-
-void ValueOrNull(JsonWriter* w, double v) {
-  if (v < 0) {
-    w->Null();
-  } else {
-    w->Value(v);
-  }
-}
-
-}  // namespace
-
-std::string ExplainRecord::ToJsonLine() const {
-  std::string out;
-  // A typical record runs 600-900 bytes; one allocation instead of the
-  // doubling walk matters at one-line-per-query rates.
-  out.reserve(512 + 96 * predicates.size() + 64 * fallbacks.size() +
-              48 * counters.size());
-  JsonWriter w(&out, JsonWriter::Style::kCompact);
-  w.BeginObject();
-  w.Key("estimator").Value(estimator);
-  w.Key("kind").Value(kind);
-  w.Key("estimate").Value(estimate);
-  w.Key("truth");
-  ValueOrNull(&w, truth);
-  w.Key("qerror");
-  ValueOrNull(&w, qerror);
-  w.Key("latency_us");
-  ValueOrNull(&w, latency_us);
-  w.Key("query")
-      .BeginObject()
-      .Key("tables").Value(num_tables)
-      .Key("joins").Value(num_joins)
-      .Key("predicates").Value(num_predicates)
-      .EndObject();
-  w.Key("predicates").BeginArray();
-  for (const PredicateExplain& p : predicates) {
-    w.BeginObject()
-        .Key("table").Value(p.table)
-        .Key("column").Value(p.column)
-        .Key("lo").Value(int64_t{p.lo})
-        .Key("hi").Value(int64_t{p.hi})
-        .Key("selectivity");
-    ValueOrNull(&w, p.selectivity);
-    w.Key("source").Value(p.source).EndObject();
-  }
-  w.EndArray();
-  w.Key("fallbacks").BeginArray();
-  for (const FallbackEvent& f : fallbacks) {
-    w.BeginObject()
-        .Key("site").Value(f.site)
-        .Key("detail").Value(f.detail)
-        .EndObject();
-  }
-  w.EndArray();
-  w.Key("counters").BeginObject();
-  for (const auto& [name, value] : counters) {
-    w.Key(name).Value(value);
-  }
-  w.EndObject();
-  w.EndObject();
-  return out;
-}
 
 void FillQueryShape(const query::Query& q, ExplainRecord* rec) {
   rec->num_tables = static_cast<int>(q.tables.size());
   rec->num_joins = q.num_joins();
   rec->num_predicates = static_cast<int>(q.predicates.size());
+}
+
+telemetry::ForensicRecord MakeForensicRecord(std::string_view estimator,
+                                             const query::Query& q,
+                                             double estimate, double truth,
+                                             double qerror, double latency_us,
+                                             const ExplainRecord* diag) {
+  telemetry::ForensicRecord fr;
+  telemetry::SetFrName(fr.estimator, sizeof(fr.estimator), estimator);
+  telemetry::SetFrName(fr.scope, sizeof(fr.scope),
+                       telemetry::PhaseScope::Current());
+  fr.query_hash = query::Fingerprint(q);
+  fr.estimate = estimate;
+  fr.truth = truth;
+  fr.qerror = qerror;
+  fr.latency_us = latency_us;
+  fr.num_tables = static_cast<uint16_t>(q.tables.size());
+  fr.num_joins = static_cast<uint16_t>(q.num_joins());
+  fr.num_predicates = static_cast<uint16_t>(q.predicates.size());
+  int nt = std::min<int>(telemetry::kFrMaxTables,
+                         static_cast<int>(q.tables.size()));
+  for (int i = 0; i < nt; ++i) {
+    fr.tables[i] = static_cast<int16_t>(q.tables[static_cast<size_t>(i)]);
+  }
+  fr.tables_recorded = static_cast<uint8_t>(nt);
+  // Diagnostics list predicates in query order; attribute by index.
+  const bool attributed =
+      diag != nullptr && diag->predicates.size() == q.predicates.size();
+  int np = std::min<int>(telemetry::kFrMaxPredicates,
+                         static_cast<int>(q.predicates.size()));
+  for (int i = 0; i < np; ++i) {
+    const query::Predicate& p = q.predicates[static_cast<size_t>(i)];
+    fr.preds[i].table = static_cast<int16_t>(p.col.table);
+    fr.preds[i].column = static_cast<int16_t>(p.col.column);
+    fr.preds[i].lo = p.lo;
+    fr.preds[i].hi = p.hi;
+    if (attributed) {
+      fr.preds[i].selectivity =
+          diag->predicates[static_cast<size_t>(i)].selectivity;
+    }
+  }
+  fr.preds_recorded = static_cast<uint8_t>(np);
+  if (diag != nullptr) {
+    fr.num_fallbacks = static_cast<uint16_t>(diag->fallbacks.size());
+    if (!diag->fallbacks.empty()) {
+      telemetry::SetFrName(fr.fallback_site, sizeof(fr.fallback_site),
+                           diag->fallbacks.front().site);
+    }
+  }
+  return fr;
 }
 
 }  // namespace ce

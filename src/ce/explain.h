@@ -5,9 +5,9 @@
 // fallback the estimator silently took (uniform assumptions, unmodeled
 // columns), model-internal counters (tree depths, SPN node visits, sampling
 // budgets), and — when the caller knows the label — latency and q-error.
-// Records serialize to one compact JSON line each, streamed to the
-// LCE_QUERY_LOG sink (src/util/telemetry/query_log.h) by the evaluation
-// harness, the executor, and the bench runners.
+// MakeForensicRecord copies a query and its diagnostics into the flight
+// recorder's fixed-size record, the one per-query record the ring, the
+// postmortem bundles and the LCE_QUERY_LOG file share.
 //
 // Collecting diagnostics never changes the estimate: implementations share
 // the arithmetic of EstimateCardinality and only *read* values already
@@ -17,6 +17,7 @@
 #define LCE_CE_EXPLAIN_H_
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -24,6 +25,10 @@
 #include "src/storage/types.h"
 
 namespace lce {
+namespace telemetry {
+struct ForensicRecord;
+}  // namespace telemetry
+
 namespace ce {
 
 /// One predicate's contribution to the estimate. `selectivity` is the
@@ -68,14 +73,23 @@ struct ExplainRecord {
   void AddFallback(std::string site, std::string detail) {
     fallbacks.push_back({std::move(site), std::move(detail)});
   }
-
-  /// Compact single-line JSON (no trailing newline), the query-log format.
-  /// Unknown truth/qerror/latency serialize as null.
-  std::string ToJsonLine() const;
 };
 
 /// Fills the query-shape fields (table/join/predicate counts) from `q`.
 void FillQueryShape(const query::Query& q, ExplainRecord* rec);
+
+/// Builds the flight-recorder record of one estimate of `q`: the query IR
+/// (the first kFrMaxTables tables and kFrMaxPredicates predicates, full
+/// counts), query_hash = query::Fingerprint(q), the current phase scope,
+/// and — when `diag` is given — its per-predicate selectivities and first
+/// fallback. Reads only; allocates nothing. Negative truth, qerror and
+/// latency mean unknown. Callers fill stages (FillStagesFromThread) and
+/// append (telemetry::FlightRecorder::Append).
+telemetry::ForensicRecord MakeForensicRecord(std::string_view estimator,
+                                             const query::Query& q,
+                                             double estimate, double truth,
+                                             double qerror, double latency_us,
+                                             const ExplainRecord* diag);
 
 }  // namespace ce
 }  // namespace lce

@@ -7,7 +7,6 @@
 #include "src/util/parallel.h"
 #include "src/util/telemetry/drift.h"
 #include "src/util/telemetry/flight_recorder.h"
-#include "src/util/telemetry/query_log.h"
 #include "src/util/telemetry/telemetry.h"
 #include "src/util/timer.h"
 
@@ -22,55 +21,24 @@ double QError(double estimate, double truth) {
 
 namespace {
 
-// Copies query IR (and, when available, the diagnostics' per-predicate
-// selectivity attribution and fallbacks) into a fixed-size forensic record
-// for the flight recorder. Pure reads; never touches estimator state.
-telemetry::ForensicRecord MakeForensicRecord(const std::string& estimator,
-                                             const query::Query& q,
-                                             double estimate, double truth,
-                                             double qerror, double latency_us,
-                                             const ce::ExplainRecord* diag) {
-  telemetry::ForensicRecord fr;
-  telemetry::SetFrName(fr.estimator, sizeof(fr.estimator), estimator);
-  telemetry::SetFrName(fr.scope, sizeof(fr.scope),
-                       telemetry::PhaseScope::Current());
-  fr.estimate = estimate;
-  fr.truth = truth;
-  fr.qerror = qerror;
-  fr.latency_us = latency_us;
-  fr.num_tables = static_cast<uint16_t>(q.tables.size());
-  fr.num_joins = static_cast<uint16_t>(q.num_joins());
-  fr.num_predicates = static_cast<uint16_t>(q.predicates.size());
-  int nt = std::min<int>(telemetry::kFrMaxTables,
-                         static_cast<int>(q.tables.size()));
-  for (int i = 0; i < nt; ++i) {
-    fr.tables[i] = static_cast<int16_t>(q.tables[static_cast<size_t>(i)]);
-  }
-  fr.tables_recorded = static_cast<uint8_t>(nt);
-  int np = std::min<int>(telemetry::kFrMaxPredicates,
-                         static_cast<int>(q.predicates.size()));
-  for (int i = 0; i < np; ++i) {
-    const query::Predicate& p = q.predicates[static_cast<size_t>(i)];
-    fr.preds[i].table = static_cast<int16_t>(p.col.table);
-    fr.preds[i].column = static_cast<int16_t>(p.col.column);
-    fr.preds[i].lo = p.lo;
-    fr.preds[i].hi = p.hi;
-    // Diagnostics list predicates in query order; attribute by index.
-    if (diag != nullptr &&
-        diag->predicates.size() == q.predicates.size()) {
-      fr.preds[i].selectivity =
-          diag->predicates[static_cast<size_t>(i)].selectivity;
-    }
-  }
-  fr.preds_recorded = static_cast<uint8_t>(np);
-  if (diag != nullptr) {
-    fr.num_fallbacks = static_cast<uint16_t>(diag->fallbacks.size());
-    if (!diag->fallbacks.empty()) {
-      telemetry::SetFrName(fr.fallback_site, sizeof(fr.fallback_site),
-                           diag->fallbacks.front().site);
-    }
-  }
-  return fr;
+// Estimates `lq` through EstimateWithDiagnostics, timed, and appends the
+// full-fidelity record: per-predicate selectivities, first fallback and the
+// stage micros of this call. Diagnostics share the plain path's arithmetic,
+// so the estimate is bit-identical to EstimateCardinality's. Returns the
+// call's latency in microseconds.
+double RecordDiagnosedEstimate(ce::Estimator* estimator,
+                               const std::string& name,
+                               const query::LabeledQuery& lq) {
+  ce::ExplainRecord diag;
+  Timer timer;
+  double est = estimator->EstimateWithDiagnostics(lq.q, &diag);
+  double latency_us = timer.ElapsedMicros();
+  telemetry::ForensicRecord fr = ce::MakeForensicRecord(
+      name, lq.q, est, lq.cardinality, QError(est, lq.cardinality),
+      latency_us, &diag);
+  telemetry::FillStagesFromThread(&fr);
+  telemetry::FlightRecorder::Global().Append(fr);
+  return latency_us;
 }
 
 }  // namespace
@@ -114,26 +82,19 @@ AccuracyReport EvaluateAccuracy(ce::Estimator* estimator,
   // bundle trigger — an enriched full-fidelity record from a diagnostics
   // re-estimate (bit-identical by contract), so the bundle's offending
   // record always carries per-predicate selectivities and stage micros.
-  if (telemetry::FlightRecorderEnabled()) {
+  if (telemetry::QueryRecordsWanted()) {
     telemetry::FlightRecorder& recorder = telemetry::FlightRecorder::Global();
+    const std::string name = estimator->Name();
     const double trigger = telemetry::QerrTriggerThreshold();
     for (size_t i = 0; i < test.size(); ++i) {
       const query::LabeledQuery& lq = test[i];
       if (trigger > 0 && report.qerrors[i] >= trigger) {
-        ce::ExplainRecord diag;
-        Timer timer;
-        double est = estimator->EstimateWithDiagnostics(lq.q, &diag);
-        double latency_us = timer.ElapsedMicros();
-        telemetry::ForensicRecord fr =
-            MakeForensicRecord(estimator->Name(), lq.q, est, lq.cardinality,
-                               QError(est, lq.cardinality), latency_us, &diag);
-        telemetry::FillStagesFromThread(&fr);
-        recorder.Append(fr, /*trigger_eligible=*/true);
+        RecordDiagnosedEstimate(estimator, name, lq);
       } else {
         recorder.Append(
-            MakeForensicRecord(estimator->Name(), lq.q, ests[i],
-                               lq.cardinality, report.qerrors[i],
-                               /*latency_us=*/-1, nullptr),
+            ce::MakeForensicRecord(name, lq.q, ests[i], lq.cardinality,
+                                   report.qerrors[i], /*latency_us=*/-1,
+                                   /*diag=*/nullptr),
             /*trigger_eligible=*/false);
       }
     }
@@ -163,30 +124,15 @@ LatencyReport MeasureEstimateLatency(
   report.capped = report.measured < report.total;
   if (report.measured == 0) return report;
   std::vector<double> samples(report.measured);
+  // While the flight recorder or the query log is on, every timed query is
+  // also recorded, with its diagnostics, and the diagnosed call is the one
+  // timed; the estimates stay bit-identical.
+  const bool record = telemetry::QueryRecordsWanted();
+  const std::string name = record ? estimator->Name() : std::string();
   Timer timer;
-  // With LCE_QUERY_LOG set, every timed query also streams an explain record
-  // (per-predicate breakdown, fallbacks, model counters, latency, q-error).
-  // Diagnostics share the estimate's arithmetic, so the estimates themselves
-  // are bit-identical to the plain path.
-  const bool log = telemetry::QueryLogEnabled();
-  const bool fr_on = telemetry::FlightRecorderEnabled();
   for (size_t i = 0; i < report.measured; ++i) {
-    if (log || fr_on) {
-      ce::ExplainRecord rec;
-      timer.Reset();
-      double est = estimator->EstimateWithDiagnostics(test[i].q, &rec);
-      samples[i] = timer.ElapsedMicros();
-      rec.latency_us = samples[i];
-      rec.truth = test[i].cardinality;
-      rec.qerror = QError(est, test[i].cardinality);
-      if (log) telemetry::QueryLog::Global().Append(rec.ToJsonLine());
-      if (fr_on) {
-        telemetry::ForensicRecord fr = MakeForensicRecord(
-            estimator->Name(), test[i].q, est, rec.truth, rec.qerror,
-            samples[i], &rec);
-        telemetry::FillStagesFromThread(&fr);
-        telemetry::FlightRecorder::Global().Append(fr);
-      }
+    if (record) {
+      samples[i] = RecordDiagnosedEstimate(estimator, name, test[i]);
     } else {
       timer.Reset();
       estimator->EstimateCardinality(test[i].q);

@@ -1,16 +1,14 @@
 #include "src/exec/executor.h"
 
-#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <unordered_map>
 
+#include "src/ce/explain.h"
 #include "src/storage/column_index.h"
-#include "src/util/json_writer.h"
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 #include "src/util/telemetry/flight_recorder.h"
-#include "src/util/telemetry/query_log.h"
 #include "src/util/telemetry/telemetry.h"
 #include "src/util/timer.h"
 
@@ -404,71 +402,21 @@ double Executor::Count(const query::Query& q, const std::vector<int>& tables,
 
 double Executor::Cardinality(const query::Query& q) const {
   CardinalityQueries().Increment();
-  const bool log = log_queries_ && telemetry::QueryLogEnabled();
-  const bool fr_on = log_queries_ && telemetry::FlightRecorderEnabled();
-  if (log || fr_on) {
-    Timer timer;
-    double card = Count(q, q.tables, q.join_edges);
-    double micros = timer.ElapsedMicros();
-    if (fr_on) {
-      // Oracle records give postmortems the ground-truth context around an
-      // estimator's bad estimate: kind 'x', estimate == truth by definition.
-      telemetry::ForensicRecord fr;
-      fr.kind = 'x';
-      telemetry::SetFrName(fr.estimator, sizeof(fr.estimator), "exec.oracle");
-      telemetry::SetFrName(fr.scope, sizeof(fr.scope),
-                           telemetry::PhaseScope::Current());
-      fr.estimate = card;
-      fr.truth = card;
-      fr.qerror = 1.0;
-      fr.latency_us = micros;
-      fr.num_tables = static_cast<uint16_t>(q.tables.size());
-      fr.num_joins = static_cast<uint16_t>(q.num_joins());
-      fr.num_predicates = static_cast<uint16_t>(q.predicates.size());
-      int nt = std::min<int>(telemetry::kFrMaxTables,
-                             static_cast<int>(q.tables.size()));
-      for (int i = 0; i < nt; ++i) {
-        fr.tables[i] = static_cast<int16_t>(q.tables[static_cast<size_t>(i)]);
-      }
-      fr.tables_recorded = static_cast<uint8_t>(nt);
-      int np = std::min<int>(telemetry::kFrMaxPredicates,
-                             static_cast<int>(q.predicates.size()));
-      for (int i = 0; i < np; ++i) {
-        const query::Predicate& p = q.predicates[static_cast<size_t>(i)];
-        fr.preds[i].table = static_cast<int16_t>(p.col.table);
-        fr.preds[i].column = static_cast<int16_t>(p.col.column);
-        fr.preds[i].lo = p.lo;
-        fr.preds[i].hi = p.hi;
-      }
-      fr.preds_recorded = static_cast<uint8_t>(np);
-      // Oracle latency is a different population from estimator latency;
-      // keep these records out of the latency trigger's rolling window.
-      telemetry::FlightRecorder::Global().Append(fr,
-                                                 /*trigger_eligible=*/false);
-    }
-    if (!log) return card;
-    // Same top-level keys as ce::ExplainRecord::ToJsonLine so one parser
-    // reads the whole log; estimate == truth for the oracle by definition.
-    std::string line;
-    JsonWriter w(&line, JsonWriter::Style::kCompact);
-    w.BeginObject()
-        .Key("estimator").Value("exec.oracle")
-        .Key("kind").Value("exec")
-        .Key("estimate").Value(card)
-        .Key("truth").Value(card)
-        .Key("qerror").Value(1.0)
-        .Key("latency_us").Value(micros)
-        .Key("query")
-        .BeginObject()
-        .Key("tables").Value(uint64_t{q.tables.size()})
-        .Key("joins").Value(static_cast<uint64_t>(q.num_joins()))
-        .Key("predicates").Value(uint64_t{q.predicates.size()})
-        .EndObject()
-        .EndObject();
-    telemetry::QueryLog::Global().Append(line);
-    return card;
+  if (!log_queries_ || !telemetry::QueryRecordsWanted()) {
+    return Count(q, q.tables, q.join_edges);
   }
-  return Count(q, q.tables, q.join_edges);
+  Timer timer;
+  double card = Count(q, q.tables, q.join_edges);
+  // Oracle records give postmortems the ground-truth context around an
+  // estimator's bad estimate: kind 'x', estimate == truth by definition.
+  telemetry::ForensicRecord fr = ce::MakeForensicRecord(
+      "exec.oracle", q, card, card, /*qerror=*/1.0, timer.ElapsedMicros(),
+      /*diag=*/nullptr);
+  fr.kind = 'x';
+  // Oracle latency is a different population from estimator latency; keep
+  // these records out of the latency trigger's rolling window.
+  telemetry::FlightRecorder::Global().Append(fr, /*trigger_eligible=*/false);
+  return card;
 }
 
 double Executor::SubsetCardinality(const query::Query& q,

@@ -35,11 +35,12 @@ class Executor {
   explicit Executor(const storage::Database* db)
       : db_(db), accel_(std::make_unique<OracleIndex>(db)) {}
 
-  /// Opts this executor into the LCE_QUERY_LOG sink: every Cardinality call
-  /// appends a kind="exec" record (exact count + latency). Off by default so
-  /// auxiliary executors — the sampling estimator's sample-level executor,
-  /// the workload generator's bulk labeler — don't flood the log; bench
-  /// harnesses enable it on their ground-truth executor.
+  /// Opts this executor into query records: every Cardinality call appends a
+  /// kind="exec" record (exact count + latency) to the flight recorder, and
+  /// so to the LCE_QUERY_LOG file. Off by default so auxiliary executors —
+  /// the sampling estimator's sample-level executor, the workload
+  /// generator's bulk labeler — don't flood them; bench harnesses enable it
+  /// on their ground-truth executor.
   void EnableQueryLog(bool on = true) { log_queries_ = on; }
 
   /// Exact COUNT(*) of the query. Returned as double: exact for counts below

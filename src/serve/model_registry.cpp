@@ -1,5 +1,7 @@
 #include "src/serve/model_registry.h"
 
+#include <utility>
+
 #include "src/util/logging.h"
 
 namespace lce {
@@ -8,39 +10,33 @@ namespace serve {
 uint64_t ModelRegistry::Register(const std::string& name,
                                  std::shared_ptr<ce::Estimator> estimator) {
   LCE_CHECK_MSG(estimator != nullptr, "Register(" << name << "): null model");
-  std::lock_guard<std::mutex> lock(mu_);
-  std::unique_ptr<Slot>& slot = slots_[name];
-  if (slot == nullptr) slot = std::make_unique<Slot>();
-  std::shared_ptr<const ModelEntry> prev =
-      slot->entry.load(std::memory_order_acquire);
   auto next = std::make_shared<ModelEntry>();
   next->name = name;
-  next->version = prev == nullptr ? 1 : prev->version + 1;
   next->estimator = std::move(estimator);
-  slot->entry.store(std::move(next), std::memory_order_release);
-  return slot->entry.load(std::memory_order_relaxed)->version;
+  // Declared before the lock, so a replaced build that nothing else holds
+  // is destroyed after the unlock, not while Get() callers wait.
+  std::shared_ptr<const ModelEntry> prev;
+  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_ptr<const ModelEntry>& entry = entries_[name];
+  next->version = entry == nullptr ? 1 : entry->version + 1;
+  const uint64_t version = next->version;
+  prev = std::exchange(entry, std::move(next));
+  return version;
 }
 
 std::shared_ptr<const ModelEntry> ModelRegistry::Get(
     const std::string& name) const {
-  const Slot* slot = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = slots_.find(name);
-    if (it == slots_.end()) return nullptr;
-    slot = it->second.get();
-  }
-  return slot->entry.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(name);
+  return it == entries_.end() ? nullptr : it->second;
 }
 
 std::vector<std::pair<std::string, uint64_t>> ModelRegistry::List() const {
   std::vector<std::pair<std::string, uint64_t>> out;
   std::lock_guard<std::mutex> lock(mu_);
-  out.reserve(slots_.size());
-  for (const auto& [name, slot] : slots_) {
-    std::shared_ptr<const ModelEntry> entry =
-        slot->entry.load(std::memory_order_acquire);
-    if (entry != nullptr) out.emplace_back(name, entry->version);
+  out.reserve(entries_.size());
+  for (const auto& [name, entry] : entries_) {
+    out.emplace_back(name, entry->version);
   }
   return out;
 }

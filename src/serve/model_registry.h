@@ -1,11 +1,12 @@
 // Named, versioned estimator registry for the estimation service.
 //
-// A registry slot holds the current build of one named model behind an
-// atomic shared_ptr: Register() on an existing name publishes a new
-// ModelEntry with a bumped version in one atomic swap, while requests that
-// already resolved the previous entry keep estimating against it until their
-// batch drains — no reader ever blocks on a writer, and no estimator is
-// destroyed while a flush still uses it.
+// The registry maps each name to the current build of that model, a
+// shared_ptr<const ModelEntry> guarded by one mutex: Register() on an
+// existing name publishes a new entry with a bumped version, while requests
+// that already copied the previous entry keep estimating against it until
+// their batch drains — no estimator is destroyed while a flush still uses
+// it. Get() holds the mutex only to copy the pointer (one map lookup and a
+// reference-count increment), once per flush.
 //
 // The registry stores models only; per-model runtime state (request
 // counters, the micro-batcher) lives in serve::EstimationService.
@@ -13,7 +14,6 @@
 #ifndef LCE_SERVE_MODEL_REGISTRY_H_
 #define LCE_SERVE_MODEL_REGISTRY_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -52,14 +52,8 @@ class ModelRegistry {
   std::vector<std::pair<std::string, uint64_t>> List() const;
 
  private:
-  // The slot object is heap-stable: the map only ever gains entries, so a
-  // Get() that found a slot can load from it after dropping the map mutex.
-  struct Slot {
-    std::atomic<std::shared_ptr<const ModelEntry>> entry;
-  };
-
-  mutable std::mutex mu_;  // guards the map shape, not the entries
-  std::map<std::string, std::unique_ptr<Slot>> slots_;
+  mutable std::mutex mu_;  // guards the map and every entry pointer in it
+  std::map<std::string, std::shared_ptr<const ModelEntry>> entries_;
 };
 
 }  // namespace serve

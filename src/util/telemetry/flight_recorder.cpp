@@ -14,12 +14,14 @@
 #include <ctime>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include "src/util/fs.h"
 #include "src/util/json_writer.h"
 #include "src/util/knobs.h"
 #include "src/util/logging.h"
 #include "src/util/telemetry/drift.h"
+#include "src/util/telemetry/jsonl_sink.h"
 #include "src/util/telemetry/profiler.h"
 #include "src/util/telemetry/run_manifest.h"
 #include "src/util/telemetry/telemetry.h"
@@ -49,7 +51,7 @@ std::string BundleRoot() {
 //
 // The signal path cannot use snprintf/ostream/std::string (allocation,
 // locale locks). These writers cover everything a ForensicRecord needs:
-// decimals, a truncating 6-digit double, and lowercase hex.
+// decimals, a 15-significant-digit double, and lowercase hex.
 
 struct Buf {
   char* p;
@@ -88,9 +90,10 @@ struct Buf {
     } while (v != 0);
     while (n > 0) Put(tmp[--n]);
   }
-  // Truncating (not rounding) decimal with 6 fractional digits, switching to
-  // a manual e-notation outside [1e-4, 1e15). Non-finite values emit null
-  // (JSON has no NaN/Inf).
+  // Decimal with 15 significant digits (the last may be off by one), fixed
+  // notation inside [1e-4, 1e15) and e-notation outside. Non-finite values
+  // emit null (JSON has no NaN/Inf). The digits come from one scaling of v
+  // by exact powers of ten, so they do not drift with the exponent.
   void Dbl(double v) {
     if (!__builtin_isfinite(v)) {
       Str("null");
@@ -100,38 +103,53 @@ struct Buf {
       Put('-');
       v = -v;
     }
-    int exp10 = 0;
-    if (v > 0 && (v >= 1e15 || v < 1e-4)) {
-      while (v >= 10) {
-        v /= 10;
-        ++exp10;
-      }
-      while (v < 1) {
-        v *= 10;
-        --exp10;
-      }
+    if (v == 0) {
+      Put('0');
+      return;
     }
-    uint64_t ip = static_cast<uint64_t>(v);
-    U64(ip);
-    double frac = v - static_cast<double>(ip);
-    char fd[6];
-    int nd = 0;
-    for (int i = 0; i < 6; ++i) {
-      frac *= 10;
-      int d = static_cast<int>(frac);
-      if (d > 9) d = 9;
-      fd[nd++] = static_cast<char>('0' + d);
-      frac -= d;
+    int exp10 = 0;  // floor(log10(v)), possibly off by one at a boundary
+    for (double m = v; m >= 10; m /= 10) ++exp10;
+    for (double m = v; m < 1; m *= 10) --exp10;
+    uint64_t digits = Digits15(v, exp10);
+    if (digits < kMinDigits15) digits = Digits15(v, --exp10);
+    if (digits >= 10 * kMinDigits15) digits = Digits15(v, ++exp10);
+    // Rounding must not carry the largest doubles past DBL_MAX
+    // (1.79769313486231570e308): a reader would see an overflow.
+    if (exp10 == 308) digits = std::min<uint64_t>(digits, 179769313486231ull);
+    char d[15];
+    for (int i = 14; i >= 0; --i) {
+      d[i] = static_cast<char>('0' + digits % 10);
+      digits /= 10;
     }
-    while (nd > 0 && fd[nd - 1] == '0') --nd;
-    if (nd > 0) {
-      Put('.');
-      for (int i = 0; i < nd; ++i) Put(fd[i]);
-    }
-    if (exp10 != 0) {
+    int nd = 15;
+    while (nd > 1 && d[nd - 1] == '0') --nd;
+    if (exp10 < -4 || exp10 >= 15) {
+      Put(d[0]);
+      if (nd > 1) Put('.');
+      for (int i = 1; i < nd; ++i) Put(d[i]);
       Put('e');
       I64(exp10);
+    } else if (exp10 >= 0) {
+      for (int i = 0; i <= exp10; ++i) Put(d[i]);
+      if (nd > exp10 + 1) Put('.');
+      for (int i = exp10 + 1; i < nd; ++i) Put(d[i]);
+    } else {
+      Str("0.");
+      for (int i = -1; i > exp10; --i) Put('0');
+      for (int i = 0; i < nd; ++i) Put(d[i]);
     }
+  }
+  // v * 10^(14 - exp10), rounded: v's 15 leading digits when exp10 is right.
+  static constexpr uint64_t kMinDigits15 = 100000000000000ull;  // 10^14
+  static uint64_t Digits15(double v, int exp10) {
+    static constexpr double kPow10[] = {
+        1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+        1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+    int n = 14 - exp10;
+    for (; n > 22; n -= 22) v *= 1e22;
+    for (; n < -22; n += 22) v /= 1e22;
+    v = n >= 0 ? v * kPow10[n] : v / kPow10[-n];
+    return static_cast<uint64_t>(v + 0.5);
   }
   // <0 sentinel fields serialize as null ("unknown"), like ExplainRecord.
   void DblOrNull(double v) {
@@ -147,13 +165,33 @@ constexpr size_t kRecordBufBytes = 2048;
 
 // --- ring slots -----------------------------------------------------------
 
-// Per-slot seqlock: 0 = never written, odd = writer in the slot, even =
-// published with state == 2*seq + 2. A reader that sees a different state
-// after copying the payload drops the copy (torn or overwritten).
+// Per-slot seqlock: 0 = never written, odd = writer in the slot (2*seq + 1),
+// even = published with state == 2*seq + 2. A reader that sees a different
+// state after copying the payload drops the copy (torn or overwritten).
 struct Slot {
   std::atomic<uint64_t> state{0};
   ForensicRecord rec;
 };
+
+// Claims `slot` for record `seq`: false when a newer record (seq + k *
+// kRingSlots) already holds it. Producers a lap apart can reach one slot
+// together; the compare-exchange makes them take turns, waiting out an
+// older record's copy, and its acquire orders this copy after that one.
+bool ClaimSlot(Slot& slot, uint64_t seq) {
+  uint64_t state = slot.state.load(std::memory_order_relaxed);
+  while (state <= 2 * seq) {
+    if ((state & 1) != 0) {
+      std::this_thread::yield();
+      state = slot.state.load(std::memory_order_relaxed);
+    } else if (slot.state.compare_exchange_weak(state, 2 * seq + 1,
+                                                std::memory_order_acquire,
+                                                std::memory_order_relaxed)) {
+      std::atomic_thread_fence(std::memory_order_release);
+      return true;
+    }
+  }
+  return false;
+}
 
 // Signal-handler view of the ring (set once the recorder exists). The
 // handler must not touch FlightRecorder::Global() — it only reads these.
@@ -185,26 +223,6 @@ constexpr int kNumKinds = 5;
 }  // namespace
 
 // --- record helpers -------------------------------------------------------
-
-uint64_t ForensicRecord::IrHash() const {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(num_tables);
-  for (int i = 0; i < tables_recorded; ++i) mix(static_cast<uint64_t>(tables[i]));
-  mix(num_predicates);
-  for (int i = 0; i < preds_recorded; ++i) {
-    mix(static_cast<uint64_t>(preds[i].table) << 32 |
-        static_cast<uint32_t>(preds[i].column));
-    mix(static_cast<uint64_t>(preds[i].lo));
-    mix(static_cast<uint64_t>(preds[i].hi));
-  }
-  return h;
-}
 
 void SetFrName(char* dst, size_t cap, std::string_view src) {
   size_t n = 0;
@@ -294,6 +312,41 @@ void SetFlightRecorderEnabledForTesting(int on) {
 
 double QerrTriggerThreshold() { return knobs::Number(knobs::kFrQerrTrigger); }
 
+// --- query log ------------------------------------------------------------
+
+namespace {
+
+JsonlSink& QueryLogSink() {
+  static JsonlSink* sink = [] {
+    std::atexit([] { FlushQueryLog(); });
+    return new JsonlSink("query log");  // leaked: the exit hook uses it
+  }();
+  return *sink;
+}
+
+}  // namespace
+
+bool QueryLogEnabled() { return knobs::Bool(knobs::kQueryLog); }
+
+std::string QueryLogPath() { return knobs::String(knobs::kQueryLog); }
+
+void SetQueryLogPathForTesting(const char* path) {
+  FlushQueryLog();
+  QueryLogSink().ResetForTesting();
+  knobs::OverrideText(knobs::kQueryLog, path);
+}
+
+Status FlushQueryLog() {
+  if (!QueryLogEnabled()) return Status::OK();
+  return QueryLogSink().Flush(QueryLogPath());
+}
+
+uint64_t QueryLogLines() { return QueryLogSink().lines_appended(); }
+
+bool QueryRecordsWanted() {
+  return FlightRecorderEnabled() || QueryLogEnabled();
+}
+
 // --- recorder -------------------------------------------------------------
 
 struct FlightRecorder::Impl {
@@ -334,16 +387,24 @@ uint64_t FlightRecorder::RecordCount() const {
 }
 
 uint64_t FlightRecorder::Append(ForensicRecord rec, bool trigger_eligible) {
-  if (!FlightRecorderEnabled()) return 0;
+  const bool ring_on = FlightRecorderEnabled();
+  const bool log_on = QueryLogEnabled();
+  if (!ring_on && !log_on) return 0;
   if (rec.ts_ns == 0) rec.ts_ns = MonotonicNanos();
-  if (rec.query_hash == 0) rec.query_hash = rec.IrHash();
   uint64_t seq = impl_->next_seq.fetch_add(1, std::memory_order_relaxed) + 1;
   rec.seq = seq;
+  if (log_on) {
+    char line[kRecordBufBytes];
+    QueryLogSink().Append(
+        std::string_view(line, FormatForensicRecord(rec, line, sizeof(line))),
+        QueryLogPath());
+  }
+  if (!ring_on) return seq;
   Slot& slot = impl_->ring[seq & (kRingSlots - 1)];
-  slot.state.store(2 * seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.rec = rec;
-  slot.state.store(2 * seq + 2, std::memory_order_release);
+  if (ClaimSlot(slot, seq)) {
+    slot.rec = rec;
+    slot.state.store(2 * seq + 2, std::memory_order_release);
+  }
   static Counter& records =
       MetricsRegistry::Global().counter("telemetry.fr.records");
   records.Increment();

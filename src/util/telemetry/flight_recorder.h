@@ -1,20 +1,28 @@
 // Always-on flight recorder: a bounded, lock-free ring of full-fidelity
-// per-query forensic records, plus triggered postmortem bundles.
+// per-query forensic records, plus triggered postmortem bundles, plus the
+// LCE_QUERY_LOG file that streams every record it receives.
 //
 // The aggregate telemetry layers (metrics, traces, stage histograms) answer
 // "how much" and "how fast" across a run; they cannot reconstruct *why one
 // query* returned a 10^4 q-error after the fact. The flight recorder is the
 // black box between the two: every measured estimate, every accuracy-scored
-// query, and every ground-truth oracle call appends one fixed-size
+// query, and every opted-in ground-truth oracle call appends one fixed-size
 // ForensicRecord — estimator, query IR + hash, per-predicate selectivity
 // attribution, per-stage micros from the StageTimer, estimate/truth/q-error,
 // latency, span context — into a process-wide ring of the last N records.
 //
-// Producers never block and never allocate: a record append is one
-// fetch_add to claim a slot plus a seqlock-published struct store. When the
-// ring is full the newest record overwrites the *oldest* — the recent past
-// is exactly what a postmortem needs.
+// Producers never allocate: a record append is one fetch_add to draw a seq,
+// one compare-exchange to claim its slot (producers a lap apart take turns)
+// and a seqlock-published struct store. When the ring is full the newest
+// record overwrites the *oldest* — the recent past is exactly what a
+// postmortem needs.
 // Readers detect torn slots by re-checking the slot sequence and skip them.
+//
+// Query log (LCE_QUERY_LOG=<path>): a streaming tail of the same records.
+// Each appended record is also written to the file as the line ring.jsonl
+// holds for it (FormatForensicRecord), through a buffered JsonlSink that
+// flushes at exit. The log and the ring gate independently: with the
+// recorder off and the log on, records still get a seq and a line.
 //
 // On a trigger the ring is snapshotted into a versioned bundle directory
 // (`<root>/postmortem/<utc-ts>-<trigger>/`) together with a metrics-registry
@@ -39,8 +47,8 @@
 // the run manifest's `flight_recorder` section.
 //
 // Layering: like the rest of src/util/telemetry this header knows nothing
-// of query IR or estimators — callers (src/eval, src/exec, benches) copy
-// the fields they have into the POD record.
+// of query IR or estimators — ce::MakeForensicRecord (src/ce/explain.h)
+// copies a query and its diagnostics into the POD record.
 
 #ifndef LCE_UTIL_TELEMETRY_FLIGHT_RECORDER_H_
 #define LCE_UTIL_TELEMETRY_FLIGHT_RECORDER_H_
@@ -65,6 +73,30 @@ bool FlightRecorderEnabled();
 
 /// Overrides LCE_FLIGHT_RECORDER (tests). on < 0 restores the env value.
 void SetFlightRecorderEnabledForTesting(int on);
+
+/// True when the query log is on (LCE_QUERY_LOG set, or a test override).
+bool QueryLogEnabled();
+
+/// The current query-log path ("" when disabled).
+std::string QueryLogPath();
+
+/// Overrides the query-log destination (tests, A/B benches). Empty string
+/// disables; nullptr restores the LCE_QUERY_LOG-derived value. Flushes and
+/// closes the open log first so tests see complete files.
+void SetQueryLogPathForTesting(const char* path);
+
+/// Writes the query log's buffered lines to QueryLogPath(), creating parent
+/// directories on the first write. An exit hook calls it too, so tools that
+/// never flush still get the tail. Once a write fails the log stays off for
+/// the process (logged once, with the path).
+Status FlushQueryLog();
+
+/// Query-log lines appended since start or the last path override (tests).
+uint64_t QueryLogLines();
+
+/// True when FlightRecorder::Append keeps a record anywhere: the ring or
+/// the query log. Producers build records only then.
+bool QueryRecordsWanted();
 
 /// The q-error bundle trigger threshold: LCE_FR_QERR_TRIGGER, 0 when
 /// disabled (the default). Exposed so the evaluation harness
@@ -102,7 +134,7 @@ struct ForensicStage {
 struct ForensicRecord {
   uint64_t seq = 0;       // assigned by Append
   int64_t ts_ns = 0;      // MonotonicNanos; assigned by Append when 0
-  uint64_t query_hash = 0;  // FNV-1a over the IR fields; Append fills when 0
+  uint64_t query_hash = 0;  // query::Fingerprint of the whole IR
   char kind = 'e';        // 'e' estimator estimate | 'x' exact oracle
   char estimator[kFrNameLen] = {};
   char scope[kFrNameLen] = {};  // PhaseScope::Current() at record time
@@ -121,10 +153,6 @@ struct ForensicRecord {
   int16_t tables[kFrMaxTables] = {};
   ForensicPredicate preds[kFrMaxPredicates];
   ForensicStage stages[kFrMaxStages];
-
-  /// FNV-1a over tables/predicate IR — stable identity for "same query seen
-  /// elsewhere in the ring/logs", independent of estimator and timing.
-  uint64_t IrHash() const;
 };
 
 /// Copies `src` into a fixed record field, truncating to cap-1 and replacing
@@ -132,18 +160,18 @@ struct ForensicRecord {
 /// signal-path formatter needs no escaping.
 void SetFrName(char* dst, size_t cap, std::string_view src);
 
-/// Appends `rec` as one compact JSON object to `out` — the ring.jsonl line
-/// format. Shared with the async-signal-safe path: FormatForensicRecord
-/// writes the same bytes into a caller buffer with no allocation.
-void AppendRecordJson(const ForensicRecord& rec, std::string* out);
-
-/// Async-signal-safe formatter: writes the JSON object (no newline) into
-/// `buf`, returns bytes written (truncates at cap; never writes a partial
-/// JSON token past cap-1). Uses only local integer/double formatting.
+/// The one per-query line writer: writes `rec` as a compact JSON object (no
+/// newline) into `buf` and returns the bytes written, truncating at `cap`.
+/// ring.jsonl, meta.json's offending record, the query log and the signal
+/// handler all use it. Async-signal-safe: local integer/double writers
+/// only (doubles to 15 significant digits; non-finite values as null).
 size_t FormatForensicRecord(const ForensicRecord& rec, char* buf, size_t cap);
 
+/// Appends FormatForensicRecord's bytes for `rec` to `out`.
+void AppendRecordJson(const ForensicRecord& rec, std::string* out);
+
 namespace internal {
-/// Per-thread stage capture, fed by StageTimer while the recorder is on:
+/// Per-thread stage capture, fed by StageTimer while QueryRecordsWanted():
 /// a top-level timer resets the thread's samples, each closed stage appends
 /// one (name, per-item micros) pair up to kFrMaxStages.
 void ResetThreadStageSamples();
@@ -169,17 +197,18 @@ class FlightRecorder {
   /// Ring capacity in records (512).
   size_t RingSlots() const;
 
-  /// Appends one record (no-op while the recorder is disabled). Fills
-  /// seq/ts_ns/query_hash, stores the record wait-free, and — when
-  /// `trigger_eligible` — checks the q-error and latency triggers against
-  /// it. Callers appending low-fidelity context records (the accuracy scan,
-  /// which separately appends an enriched record for offending queries)
-  /// pass trigger_eligible=false so the bundle's offending record is always
-  /// the full-fidelity one. Thread-safe; returns the assigned seq (0 when
-  /// disabled).
+  /// Appends one record (no-op while the recorder and the query log are
+  /// both off). Fills seq and ts_ns; while the recorder is on, stores the
+  /// record wait-free and — when `trigger_eligible` — checks the q-error and
+  /// latency triggers against it; while the query log is on, writes its
+  /// line. Callers appending low-fidelity context records (the accuracy
+  /// scan, which separately appends an enriched record for offending
+  /// queries) pass trigger_eligible=false so the bundle's offending record
+  /// is always the full-fidelity one. Thread-safe; returns the assigned seq
+  /// (0 when both are off).
   uint64_t Append(ForensicRecord rec, bool trigger_eligible = true);
 
-  /// Records appended so far (process-wide).
+  /// Records appended so far (process-wide): the last seq handed out.
   uint64_t RecordCount() const;
 
   /// Consistent snapshot of the ring, oldest first. Torn slots (overwritten

@@ -7,8 +7,9 @@
 // sink latches the error and drops further lines (logged once, with the
 // path), so a full disk never turns into a crash loop inside a bench.
 //
-// Owners (QueryLog, TrainLog) keep their own env gating and path resolution;
-// the sink only manages buffering and file I/O. Thread-safe.
+// Owners (the flight recorder's query log, TrainLog) keep their own env
+// gating and path resolution; the sink only manages buffering and file I/O.
+// Thread-safe.
 
 #ifndef LCE_UTIL_TELEMETRY_JSONL_SINK_H_
 #define LCE_UTIL_TELEMETRY_JSONL_SINK_H_

@@ -4,10 +4,10 @@
 //
 // Setting LCE_PROFILE enables span recording even when LCE_TRACE is unset
 // (see SpanRecordingEnabled() in trace.h): every TraceSpan / ScopedPhase /
-// stage span is collected, and WriteProfileIfEnabled() — called by the bench
-// harness and at process exit — walks each span's parent chain (span ids
-// propagate across threads through ThreadPool::Submit, so pool work folds
-// under the submitting span) and aggregates by name path:
+// stage span is collected, and WriteProfileIfEnabled() — called at process
+// exit — walks each span's parent chain (span ids propagate across threads
+// through ThreadPool::Submit, so pool work folds under the submitting span)
+// and aggregates by name path:
 //
 //   build/FCN@dmv;nn/epoch;parallel/lane;MatMul 184223
 //

@@ -52,14 +52,14 @@ Histogram& LatencyHist(const std::string& model) {
 }  // namespace
 
 bool StageTimer::ShouldActivate() {
-  return MetricsEnabled() || SpanRecordingEnabled() || FlightRecorderEnabled();
+  return MetricsEnabled() || SpanRecordingEnabled() || QueryRecordsWanted();
 }
 
 void StageTimer::Activate(std::string model, uint64_t batch) {
   active_ = true;
   metrics_on_ = MetricsEnabled();
   spans_on_ = SpanRecordingEnabled();
-  fr_on_ = FlightRecorderEnabled();
+  fr_on_ = QueryRecordsWanted();
   batch_ = batch == 0 ? 1 : batch;
   model_ = std::move(model);
   prev_ = tls_innermost_timer;

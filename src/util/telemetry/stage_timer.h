@@ -67,7 +67,7 @@ class StageTimer {
   bool active_ = false;
   bool metrics_on_ = false;
   bool spans_on_ = false;
-  bool fr_on_ = false;  // flight recorder consuming per-stage samples
+  bool fr_on_ = false;  // query records (ring or log) consume stage samples
   uint64_t batch_ = 1;
   std::string model_;
   int64_t begin_ns_ = 0;

@@ -5,9 +5,9 @@
 // ("ph":"X") with wall-clock start, duration, and the recording thread's id
 // into a per-thread buffer (one uncontended mutex acquisition per span; the
 // buffer grows 4096 spans at a time and never moves what it holds).
-// WriteTraceIfEnabled() — called by the bench harness and automatically at
-// process exit — merges the buffers and writes a JSON file loadable by
-// chrome://tracing or https://ui.perfetto.dev.
+// WriteTraceIfEnabled() — called once, automatically, at process exit —
+// merges the buffers and writes a JSON file loadable by chrome://tracing or
+// https://ui.perfetto.dev.
 //
 // Spans carry ids: each live TraceSpan pushes its id as the thread's
 // "current span", so nested spans record their parent and the hierarchy

@@ -11,7 +11,7 @@
 #include "src/ce/traditional/multidim_histogram.h"
 #include "src/query/query.h"
 #include "src/storage/datagen.h"
-#include "src/util/json_writer.h"
+#include "src/util/telemetry/flight_recorder.h"
 #include "src/util/telemetry/telemetry.h"
 #include "src/workload/generator.h"
 
@@ -206,45 +206,51 @@ TEST(ExplainTest, ModelCountersPerFamily) {
   }
 }
 
-TEST(ExplainTest, ToJsonLineParsesAndRoundTrips) {
-  ExplainRecord rec;
-  rec.estimator = "FCN";
-  rec.estimate = 123.5;
-  rec.truth = 100;
-  rec.qerror = 1.235;
-  rec.latency_us = 17.25;
-  rec.num_tables = 2;
-  rec.num_joins = 1;
-  rec.num_predicates = 1;
-  rec.predicates.push_back({0, 1, 5, 9, 0.25, "mcv+equidepth"});
-  rec.AddFallback("spn.key_column_uniform", "table=0 column=2");
-  rec.AddCounter("leaf_visits", 12);
+TEST(ExplainTest, MakeForensicRecordCopiesQueryAndDiagnostics) {
+  query::Query q;
+  q.tables = {0, 1};
+  q.join_edges = {0};
+  q.predicates = {{{0, 1}, 5, 9}, {{1, 2}, -3, 40}};
+  ExplainRecord diag;
+  diag.predicates.push_back({0, 1, 5, 9, 0.25, "mcv+equidepth"});
+  diag.predicates.push_back({1, 2, -3, 40, -1.0, "grid"});
+  diag.AddFallback("spn.key_column_uniform", "table=0 column=2");
+  diag.AddFallback("hist.second_site", "");
 
-  std::string line = rec.ToJsonLine();
-  EXPECT_EQ(line.find('\n'), std::string::npos);
-  json::JsonValue v;
-  std::string error;
-  ASSERT_TRUE(json::Parse(line, &v, &error)) << error;
-  EXPECT_EQ(v.Find("estimator")->string, "FCN");
-  EXPECT_DOUBLE_EQ(v.Find("estimate")->number, 123.5);
-  EXPECT_DOUBLE_EQ(v.Find("qerror")->number, 1.235);
-  EXPECT_EQ(v.Find("query")->Find("joins")->number, 1);
-  ASSERT_EQ(v.Find("predicates")->array.size(), 1u);
-  EXPECT_EQ(v.Find("predicates")->array[0].Find("source")->string,
-            "mcv+equidepth");
-  ASSERT_EQ(v.Find("fallbacks")->array.size(), 1u);
-  EXPECT_EQ(v.Find("fallbacks")->array[0].Find("site")->string,
-            "spn.key_column_uniform");
-  EXPECT_DOUBLE_EQ(v.Find("counters")->Find("leaf_visits")->number, 12);
+  telemetry::PhaseScope scope("explain-test");
+  telemetry::ForensicRecord fr =
+      MakeForensicRecord("FCN", q, 123.5, 100, 1.235, 17.25, &diag);
+  EXPECT_STREQ(fr.estimator, "FCN");
+  EXPECT_STREQ(fr.scope, "explain-test");
+  EXPECT_EQ(fr.query_hash, query::Fingerprint(q));
+  EXPECT_EQ(fr.kind, 'e');
+  EXPECT_DOUBLE_EQ(fr.estimate, 123.5);
+  EXPECT_DOUBLE_EQ(fr.truth, 100);
+  EXPECT_DOUBLE_EQ(fr.qerror, 1.235);
+  EXPECT_DOUBLE_EQ(fr.latency_us, 17.25);
+  EXPECT_EQ(fr.num_tables, 2);
+  EXPECT_EQ(fr.num_joins, 1);
+  EXPECT_EQ(fr.num_predicates, 2);
+  ASSERT_EQ(fr.tables_recorded, 2);
+  EXPECT_EQ(fr.tables[1], 1);
+  ASSERT_EQ(fr.preds_recorded, 2);
+  EXPECT_EQ(fr.preds[1].table, 1);
+  EXPECT_EQ(fr.preds[1].column, 2);
+  EXPECT_EQ(fr.preds[1].lo, -3);
+  EXPECT_EQ(fr.preds[1].hi, 40);
+  EXPECT_DOUBLE_EQ(fr.preds[0].selectivity, 0.25);
+  EXPECT_DOUBLE_EQ(fr.preds[1].selectivity, -1.0);
+  EXPECT_EQ(fr.num_fallbacks, 2);
+  EXPECT_STREQ(fr.fallback_site, "spn.key_column_uniform");
+  EXPECT_EQ(fr.stages_recorded, 0);
 
-  // Unknown label fields serialize as null, not a sentinel number.
-  ExplainRecord unlabeled;
-  unlabeled.estimator = "Histogram";
-  json::JsonValue u;
-  ASSERT_TRUE(json::Parse(unlabeled.ToJsonLine(), &u, &error)) << error;
-  EXPECT_EQ(u.Find("truth")->kind, json::JsonValue::Kind::kNull);
-  EXPECT_EQ(u.Find("qerror")->kind, json::JsonValue::Kind::kNull);
-  EXPECT_EQ(u.Find("latency_us")->kind, json::JsonValue::Kind::kNull);
+  // Without diagnostics: the IR and hash, no attribution.
+  telemetry::ForensicRecord bare =
+      MakeForensicRecord("FCN", q, 123.5, -1, -1, -1, nullptr);
+  EXPECT_EQ(bare.query_hash, fr.query_hash);
+  EXPECT_DOUBLE_EQ(bare.preds[0].selectivity, -1.0);
+  EXPECT_EQ(bare.num_fallbacks, 0);
+  EXPECT_STREQ(bare.fallback_site, "");
 }
 
 }  // namespace

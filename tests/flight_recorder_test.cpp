@@ -5,11 +5,17 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <limits>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/ce/explain.h"
+#include "src/ce/factory.h"
 #include "src/ce/traditional/histogram.h"
 #include "src/eval/metrics.h"
+#include "src/query/query.h"
 #include "src/storage/datagen.h"
 #include "src/util/fs.h"
 #include "src/util/json_writer.h"
@@ -34,16 +40,24 @@ json::JsonValue ReadJsonFile(const std::string& path) {
   return ParseOrDie(text);
 }
 
-std::vector<json::JsonValue> ReadJsonl(const std::string& path) {
+std::vector<std::string> ReadLines(const std::string& path) {
   std::string text;
   EXPECT_TRUE(fs::ReadFileToString(path, &text).ok()) << path;
-  std::vector<json::JsonValue> out;
+  std::vector<std::string> out;
   size_t start = 0;
   while (start < text.size()) {
     size_t end = text.find('\n', start);
     if (end == std::string::npos) end = text.size();
-    if (end > start) out.push_back(ParseOrDie(text.substr(start, end - start)));
+    if (end > start) out.push_back(text.substr(start, end - start));
     start = end + 1;
+  }
+  return out;
+}
+
+std::vector<json::JsonValue> ReadJsonl(const std::string& path) {
+  std::vector<json::JsonValue> out;
+  for (const std::string& line : ReadLines(path)) {
+    out.push_back(ParseOrDie(line));
   }
   return out;
 }
@@ -66,8 +80,8 @@ ForensicRecord MakeRecord(double qerror, double latency_us = 10.0) {
   return rec;
 }
 
-// The recorder is a process-wide singleton; each test pins every knob,
-// resets the ring, and points bundles at a private temp dir.
+// The recorder is a process-wide singleton; each test pins every knob (the
+// query log off), resets the ring, and points bundles at a private temp dir.
 class FlightRecorderTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -76,6 +90,7 @@ class FlightRecorderTest : public ::testing::Test {
     std::filesystem::remove_all(root_);
     FlightRecorder& fr = FlightRecorder::Global();
     SetFlightRecorderEnabledForTesting(1);
+    SetQueryLogPathForTesting("");
     fr.SetBundleRootForTesting(root_.c_str());
     fr.SetQerrTriggerForTesting(0);
     fr.SetLatencyTriggerForTesting(0);
@@ -92,12 +107,13 @@ class FlightRecorderTest : public ::testing::Test {
     fr.SetDriftTriggerForTesting(-1);
     fr.SetMaxBundlesForTesting(-1);
     SetFlightRecorderEnabledForTesting(-1);
+    SetQueryLogPathForTesting(nullptr);
     std::filesystem::remove_all(root_);
   }
   std::string root_;
 };
 
-TEST_F(FlightRecorderTest, AppendAssignsSeqTimestampAndHash) {
+TEST_F(FlightRecorderTest, AppendAssignsSeqAndTimestamp) {
   FlightRecorder& fr = FlightRecorder::Global();
   uint64_t s1 = fr.Append(MakeRecord(2.0));
   uint64_t s2 = fr.Append(MakeRecord(3.0));
@@ -109,9 +125,6 @@ TEST_F(FlightRecorderTest, AppendAssignsSeqTimestampAndHash) {
   EXPECT_EQ(ring[0].seq, 1u);
   EXPECT_EQ(ring[1].seq, 2u);
   EXPECT_GT(ring[0].ts_ns, 0);
-  EXPECT_NE(ring[0].query_hash, 0u);
-  // Same IR → same hash, independent of estimate/qerror/latency.
-  EXPECT_EQ(ring[0].query_hash, ring[1].query_hash);
   EXPECT_STREQ(ring[0].estimator, "TestModel");
 }
 
@@ -150,7 +163,7 @@ TEST_F(FlightRecorderTest, FormatForensicRecordEmitsValidJson) {
   ForensicRecord rec = MakeRecord(12.5, 42.5);
   rec.seq = 7;
   rec.ts_ns = 1500000;
-  rec.query_hash = rec.IrHash();
+  rec.query_hash = 0x1234abcdull;
   rec.num_joins = 1;
   rec.num_fallbacks = 2;
   SetFrName(rec.fallback_site, sizeof(rec.fallback_site), "hist/oob");
@@ -167,6 +180,7 @@ TEST_F(FlightRecorderTest, FormatForensicRecordEmitsValidJson) {
   EXPECT_DOUBLE_EQ(v.Find("ts_ms")->number, 1.5);
   EXPECT_EQ(v.Find("kind")->string, "estimate");
   EXPECT_EQ(v.Find("estimator")->string, "TestModel");
+  EXPECT_EQ(v.Find("query_hash")->string, "1234abcd");
   EXPECT_DOUBLE_EQ(v.Find("qerror")->number, 12.5);
   EXPECT_DOUBLE_EQ(v.Find("latency_us")->number, 42.5);
   ASSERT_EQ(v.Find("preds")->array.size(), 2u);
@@ -191,14 +205,144 @@ TEST_F(FlightRecorderTest, FormatForensicRecordEmitsValidJson) {
   EXPECT_EQ(v.Find("kind")->string, "exec");
 }
 
-TEST_F(FlightRecorderTest, IrHashSeparatesQueriesNotTimings) {
-  ForensicRecord a = MakeRecord(2.0, 10.0);
-  ForensicRecord b = MakeRecord(900.0, 99999.0);
-  SetFrName(b.estimator, sizeof(b.estimator), "OtherModel");
-  EXPECT_EQ(a.IrHash(), b.IrHash());
-  ForensicRecord c = MakeRecord(2.0);
-  c.preds[1].hi = 11;
-  EXPECT_NE(a.IrHash(), c.IrHash());
+// The writer keeps at least 12 significant digits, whatever the exponent,
+// and writes what JSON cannot hold as null.
+TEST_F(FlightRecorderTest, DoublesKeepTwelveDigitsAndNonFiniteIsNull) {
+  auto written = [](const ForensicRecord& rec) {
+    std::string line;
+    AppendRecordJson(rec, &line);
+    return ParseOrDie(line);
+  };
+  ForensicRecord rec = MakeRecord(2.0);
+  rec.estimate = 12.3456789;
+  rec.latency_us = 3.25e-5;
+  json::JsonValue v = written(rec);
+  EXPECT_NEAR(v.Find("estimate")->number, 12.3456789, 1e-9 * 12.3456789);
+  EXPECT_NEAR(v.Find("latency_us")->number, 3.25e-5, 1e-9 * 3.25e-5);
+  for (double x : {1.0, 0.1, 2.0 / 3.0, 123456789.123456, 1e-4, 9.99999e-5,
+                   0.000123456789012, 999999999999999.0, 1e15, 6.02214076e23,
+                   1.7976931348623157e308, 4.9e-324, 2.2250738585072014e-308,
+                   98765.4321e-200}) {
+    rec.estimate = x;
+    double got = written(rec).Find("estimate")->number;
+    EXPECT_NEAR(got, x, 1e-12 * x) << x;
+    rec.estimate = -x;
+    EXPECT_NEAR(written(rec).Find("estimate")->number, -x, 1e-12 * x) << -x;
+  }
+  rec.estimate = std::numeric_limits<double>::quiet_NaN();
+  rec.latency_us = std::numeric_limits<double>::infinity();
+  rec.qerror = std::numeric_limits<double>::infinity();
+  rec.stages_recorded = 1;
+  SetFrName(rec.stages[0].name, sizeof(rec.stages[0].name), "encode");
+  rec.stages[0].micros = -std::numeric_limits<double>::infinity();
+  v = written(rec);
+  EXPECT_EQ(v.Find("estimate")->kind, json::JsonValue::Kind::kNull);
+  EXPECT_EQ(v.Find("latency_us")->kind, json::JsonValue::Kind::kNull);
+  EXPECT_EQ(v.Find("qerror")->kind, json::JsonValue::Kind::kNull);
+  EXPECT_EQ(v.Find("stages")->array[0].Find("us")->kind,
+            json::JsonValue::Kind::kNull);
+}
+
+// One query hash: every record carries query::Fingerprint of the whole IR,
+// so one query scored by two estimators shares it, and queries that differ
+// only past the recorded predicates, or only in a join edge, do not.
+TEST_F(FlightRecorderTest, BuilderHashesTheWholeQueryIr) {
+  FlightRecorder& fr = FlightRecorder::Global();
+  auto db = storage::datagen::Generate(
+      storage::datagen::SyntheticPairSpec(4000, 20, 0.0, 0.0), 21);
+  workload::WorkloadOptions opts;
+  opts.max_joins = 0;
+  workload::WorkloadGenerator gen(db.get(), opts);
+  Rng rng(22);
+  auto test = gen.GenerateLabeled(1, &rng);
+  for (const char* name : {"Histogram", "MultiHist"}) {
+    auto est = ce::MakeEstimator(name, ce::NeuralOptions{}, 1);
+    ASSERT_TRUE(est->Build(*db, {}).ok()) << name;
+    eval::MeasureEstimateLatency(est.get(), test, 1);
+  }
+  std::vector<ForensicRecord> ring = fr.SnapshotRing();
+  ASSERT_EQ(ring.size(), 2u);
+  EXPECT_STRNE(ring[0].estimator, ring[1].estimator);
+  EXPECT_EQ(ring[0].query_hash, query::Fingerprint(test[0].q));
+  EXPECT_EQ(ring[1].query_hash, query::Fingerprint(test[0].q));
+
+  auto hash = [](const query::Query& q) {
+    return ce::MakeForensicRecord("X", q, 1, -1, -1, -1, nullptr).query_hash;
+  };
+  query::Query seven;
+  seven.tables = {0};
+  for (int i = 0; i < kFrMaxPredicates + 1; ++i) {
+    seven.predicates.push_back({{0, i % 2}, i, 100 + i});
+  }
+  query::Query seventh_differs = seven;
+  seventh_differs.predicates.back().hi += 1;
+  EXPECT_NE(hash(seven), hash(seventh_differs));
+
+  query::Query joined;
+  joined.tables = {0, 1};
+  joined.join_edges = {0};
+  query::Query other_edge = joined;
+  other_edge.join_edges = {1};
+  EXPECT_NE(hash(joined), hash(other_edge));
+}
+
+// The query log is a tail of the ring: the line it holds for a record is
+// the line ring.jsonl holds for the same seq, byte for byte.
+TEST_F(FlightRecorderTest, QueryLogLineMatchesRingLine) {
+  FlightRecorder& fr = FlightRecorder::Global();
+  const std::string log = root_ + "/query_log.jsonl";
+  SetQueryLogPathForTesting(log.c_str());
+  ForensicRecord rec = MakeRecord(12.3456789, 42.125);
+  SetFrName(rec.fallback_site, sizeof(rec.fallback_site), "hist/oob");
+  rec.num_fallbacks = 1;
+  SetFrName(rec.stages[0].name, sizeof(rec.stages[0].name), "encode");
+  rec.stages[0].micros = 3.25e-5;
+  rec.stages_recorded = 1;
+  fr.Append(rec);
+  fr.Append(MakeRecord(3.0), /*trigger_eligible=*/false);
+  ASSERT_TRUE(fr.TriggerManualBundle("line check").ok());
+  ASSERT_TRUE(FlushQueryLog().ok());
+  EXPECT_EQ(QueryLogLines(), 2u);
+
+  std::vector<BundleInfo> bundles = fr.Bundles();
+  ASSERT_EQ(bundles.size(), 1u);
+  std::vector<std::string> ring = ReadLines(bundles[0].path + "/ring.jsonl");
+  std::vector<std::string> logged = ReadLines(log);
+  ASSERT_EQ(ring.size(), 2u);
+  ASSERT_EQ(logged.size(), 2u);
+  for (size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_DOUBLE_EQ(ParseOrDie(logged[i]).Find("seq")->number,
+                     static_cast<double>(i + 1));
+    EXPECT_EQ(logged[i], ring[i]);
+  }
+}
+
+// Concurrent producers with the log on: every append becomes exactly one
+// parseable line, and no seq is handed out twice.
+TEST_F(FlightRecorderTest, ConcurrentAppendsLogEveryRecordOnce) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5000;
+  const std::string log = root_ + "/concurrent.jsonl";
+  SetQueryLogPathForTesting(log.c_str());
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        FlightRecorder::Global().Append(MakeRecord(1.0 + t + i));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_TRUE(FlushQueryLog().ok());
+  std::vector<json::JsonValue> lines = ReadJsonl(log);
+  ASSERT_EQ(lines.size(), size_t{kThreads * kPerThread});
+  std::set<double> seqs;
+  for (const json::JsonValue& line : lines) {
+    seqs.insert(line.Find("seq")->number);
+  }
+  EXPECT_EQ(seqs.size(), size_t{kThreads * kPerThread});
+  EXPECT_DOUBLE_EQ(*seqs.begin(), 1);
+  EXPECT_DOUBLE_EQ(*seqs.rbegin(), kThreads * kPerThread);
 }
 
 TEST_F(FlightRecorderTest, QerrTriggerWritesValidatedBundle) {

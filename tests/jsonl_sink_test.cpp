@@ -85,8 +85,8 @@ TEST(JsonlSinkTest, ConcurrentAppendAndFlushLoseNothing) {
 }
 
 TEST(JsonlSinkTest, PathChangeMidStreamSwitchesFiles) {
-  // QueryLog's path can be re-pointed between benches (SetQueryLogPath /
-  // the *ForTesting override); one sink must serve both files across the
+  // The query log's path can be re-pointed between benches
+  // (SetQueryLogPathForTesting); one sink must serve both files across the
   // change, with concurrent writers and a concurrent flusher on each side.
   const std::string path_a = ::testing::TempDir() + "jsonl_sink_path_a.jsonl";
   const std::string path_b = ::testing::TempDir() + "jsonl_sink_path_b.jsonl";
