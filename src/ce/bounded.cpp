@@ -30,15 +30,15 @@ Status BoundedEstimator::Build(
   return reference_->Build(db, training);
 }
 
-double BoundedEstimator::EstimateCardinality(const query::Query& q) {
-  // The wrapped estimators open their own stage timers; the innermost-timer
-  // stack attributes their stages to themselves, and this timer keeps the
-  // clamp arithmetic under this estimator's name.
-  telemetry::StageTimer stages([this] { return Name(); });
-  stages.Stage("traverse");
+double BoundedEstimator::EstimateImpl(const query::Query& q,
+                                      ExplainRecord*) const {
+  // The wrapped estimators' entry points open their own stage timers; the
+  // innermost-timer stack attributes their stages to themselves, and this
+  // estimator's timer keeps the clamp arithmetic under its name.
+  telemetry::StageTimer::Mark("traverse");
   double inner = inner_->EstimateCardinality(q);
   double reference = reference_->EstimateCardinality(q);
-  stages.Stage("postprocess");
+  telemetry::StageTimer::Mark("postprocess");
   double lo = std::max(1.0, reference / envelope_);
   double hi = reference * envelope_;
   return std::clamp(inner, lo, hi);

@@ -26,7 +26,6 @@ class BoundedEstimator : public Estimator {
   std::string Name() const override;
   Status Build(const storage::Database& db,
                const std::vector<query::LabeledQuery>& training) override;
-  double EstimateCardinality(const query::Query& q) override;
   Status UpdateWithQueries(
       const std::vector<query::LabeledQuery>& queries) override;
   Status UpdateWithData(const storage::Database& db) override;
@@ -34,6 +33,9 @@ class BoundedEstimator : public Estimator {
 
   Estimator* inner() { return inner_.get(); }
   Estimator* reference() { return reference_.get(); }
+
+ protected:
+  double EstimateImpl(const query::Query& q, ExplainRecord* rec) const override;
 
  private:
   std::unique_ptr<Estimator> inner_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/ce/edge_selectivity.h"
-#include "src/ce/join_formula.h"
 #include "src/util/logging.h"
 #include "src/util/telemetry/stage_timer.h"
 #include "src/util/telemetry/telemetry.h"
@@ -194,9 +192,7 @@ std::vector<double> BayesNetTableModel::Message(
   return msg;
 }
 
-double BayesNetTableModel::Selectivity(
-    const std::vector<std::optional<std::pair<storage::Value, storage::Value>>>&
-        ranges) const {
+double BayesNetTableModel::Selectivity(const ColumnRanges& ranges) const {
   if (root_ < 0) return 1.0;
   double uniform_factor = 1.0;
   size_t d = modeled_cols_.size();
@@ -246,115 +242,28 @@ uint64_t BayesNetTableModel::NumParameters() const {
   return n;
 }
 
-Status BayesNetEstimator::Build(
-    const storage::Database& db,
-    const std::vector<query::LabeledQuery>& training) {
-  (void)training;
-  return UpdateWithData(db);
-}
-
-Status BayesNetEstimator::UpdateWithData(const storage::Database& db) {
-  schema_ = &db.schema();
-  Rng rng(seed_);
-  models_.clear();
-  models_.resize(db.num_tables());
-  table_rows_.assign(db.num_tables(), 0);
-  distinct_.assign(db.num_tables(), {});
-  train_examples_ = 0;
-  for (int t = 0; t < db.num_tables(); ++t) {
-    const storage::Table& table = db.table(t);
-    if (!table.finalized()) {
-      return Status::FailedPrecondition("table not finalized");
-    }
-    Rng fork = rng.Fork();
-    models_[t].Fit(table, options_, &fork);
-    train_examples_ += static_cast<int64_t>(
-        std::min(options_.max_training_rows, table.num_rows()));
-    table_rows_[t] = static_cast<double>(table.num_rows());
-    distinct_[t].resize(table.num_columns());
-    for (int c = 0; c < table.num_columns(); ++c) {
-      distinct_[t][c] = std::max<uint64_t>(1, table.stats(c).distinct);
-    }
-  }
-  if (options_.use_edge_selectivity) {
-    edge_rho_ = ComputeEdgeSelectivities(db);
-  }
-  if (options_.use_fanout_correction) {
-    fanout_.Build(db, FanoutCorrection::Options{});
-  }
-  return Status::OK();
-}
-
-double BayesNetEstimator::EstimateCardinality(const query::Query& q) {
-  return EstimateImpl(q, nullptr);
-}
-
-double BayesNetEstimator::EstimateWithDiagnostics(const query::Query& q,
-                                                  ExplainRecord* rec) {
-  rec->estimator = Name();
-  FillQueryShape(q, rec);
-  double est = EstimateImpl(q, rec);
-  rec->estimate = est;
-  return est;
-}
-
 double BayesNetEstimator::EstimateImpl(const query::Query& q,
-                                       ExplainRecord* rec) {
+                                       ExplainRecord* rec) const {
   LCE_CHECK_MSG(schema_ != nullptr, "Build() before EstimateCardinality()");
   // Message passing over per-table networks plus the join formula.
-  telemetry::StageTimer stages([this] { return Name(); });
-  stages.Stage("traverse");
-  auto filtered_rows = [&](int t) {
-    std::vector<std::optional<std::pair<storage::Value, storage::Value>>>
-        ranges(schema_->tables[t].columns.size());
-    for (const query::Predicate& p : q.predicates) {
-      if (p.col.table == t) ranges[p.col.column] = {{p.lo, p.hi}};
-    }
-    double sel = models_[t].Selectivity(ranges);
-    if (rec != nullptr) {
-      rec->AddCounter("table_sel.t" + std::to_string(t), sel);
-    }
-    return table_rows_[t] * sel;
-  };
-  int modeled = 0, unmodeled = 0;
+  telemetry::StageTimer::Mark("traverse");
+  int modeled = 0;
   if (rec != nullptr) {
-    for (const query::Predicate& p : q.predicates) {
-      if (models_[p.col.table].ModelsColumn(p.col.column)) {
-        ++modeled;
-        // Message passing scores the conjunction jointly; no per-predicate
-        // attribution.
-        rec->predicates.push_back({p.col.table, p.col.column, p.lo, p.hi,
-                                   -1.0, "bayesnet"});
-      } else {
-        ++unmodeled;
-        rec->predicates.push_back({p.col.table, p.col.column, p.lo, p.hi,
-                                   -1.0, "uniform_fallback"});
-        rec->AddFallback("bayesnet.unmodeled_column_uniform",
-                         "table=" + std::to_string(p.col.table) + " column=" +
-                             std::to_string(p.col.column));
-      }
-    }
+    modeled = ExplainPredicates(q, "bayesnet", "uniform_fallback",
+                                "bayesnet.unmodeled_column_uniform", rec);
   }
-  double correction =
-      options_.use_fanout_correction ? fanout_.CorrectionFactor(q) : 1.0;
-  double base =
-      options_.use_edge_selectivity
-          ? CombineWithEdgeSelectivities(*schema_, q, filtered_rows, edge_rho_)
-          : CombineWithJoinFormula(*schema_, q, filtered_rows, [&](int t, int c) {
-              return static_cast<double>(distinct_[t][c]);
-            });
-  if (rec != nullptr) {
-    rec->AddCounter("modeled_predicates", static_cast<double>(modeled));
-    rec->AddCounter("unmodeled_predicates", static_cast<double>(unmodeled));
-    rec->AddCounter("fanout_correction", correction);
-  }
-  return std::max(1.0, base * correction);
-}
-
-uint64_t BayesNetEstimator::SizeBytes() const {
-  uint64_t bytes = 0;
-  for (const auto& m : models_) bytes += m.SizeBytes();
-  return bytes;
+  return JoinTables(
+      q,
+      [&](int t, const ColumnRanges& ranges) {
+        return models_[t].Selectivity(ranges);
+      },
+      rec,
+      [&] {
+        int unmodeled = static_cast<int>(q.predicates.size()) - modeled;
+        rec->AddCounter("modeled_predicates", static_cast<double>(modeled));
+        rec->AddCounter("unmodeled_predicates",
+                        static_cast<double>(unmodeled));
+      });
 }
 
 void BayesNetEstimator::DescribeModel(telemetry::ModelCard* card) const {

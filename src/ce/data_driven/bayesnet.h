@@ -8,13 +8,11 @@
 #ifndef LCE_CE_DATA_DRIVEN_BAYESNET_H_
 #define LCE_CE_DATA_DRIVEN_BAYESNET_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/ce/data_driven/binning.h"
-#include "src/ce/edge_selectivity.h"
-#include "src/ce/estimator.h"
+#include "src/ce/data_driven/per_table.h"
 #include "src/util/rng.h"
 
 namespace lce {
@@ -35,10 +33,7 @@ class BayesNetTableModel {
 
   void Fit(const storage::Table& table, const Options& options, Rng* rng);
 
-  double Selectivity(
-      const std::vector<std::optional<std::pair<storage::Value,
-                                                storage::Value>>>& ranges)
-      const;
+  double Selectivity(const ColumnRanges& ranges) const;
 
   /// True when table-local column `c` is covered by the network (non-key);
   /// constrained unmodeled columns take the uniform fallback.
@@ -72,35 +67,18 @@ class BayesNetTableModel {
   std::vector<std::vector<std::vector<double>>> cpt_;
 };
 
-class BayesNetEstimator : public Estimator {
+class BayesNetEstimator : public PerTableEstimator<BayesNetTableModel> {
  public:
   BayesNetEstimator() : BayesNetEstimator(BayesNetTableModel::Options{}) {}
   explicit BayesNetEstimator(BayesNetTableModel::Options options,
                              uint64_t seed = 173)
-      : options_(options), seed_(seed) {}
+      : PerTableEstimator(options, seed) {}
 
   std::string Name() const override { return "BayesNet"; }
-  Status Build(const storage::Database& db,
-               const std::vector<query::LabeledQuery>& training) override;
-  double EstimateCardinality(const query::Query& q) override;
-  double EstimateWithDiagnostics(const query::Query& q,
-                                 ExplainRecord* rec) override;
-  Status UpdateWithData(const storage::Database& db) override;
-  uint64_t SizeBytes() const override;
   void DescribeModel(telemetry::ModelCard* card) const override;
 
- private:
-  double EstimateImpl(const query::Query& q, ExplainRecord* rec);
-
-  BayesNetTableModel::Options options_;
-  uint64_t seed_;
-  const storage::DatabaseSchema* schema_ = nullptr;
-  std::vector<BayesNetTableModel> models_;
-  int64_t train_examples_ = -1;
-  std::vector<double> table_rows_;
-  std::vector<std::vector<uint64_t>> distinct_;
-  std::vector<double> edge_rho_;
-  FanoutCorrection fanout_;
+ protected:
+  double EstimateImpl(const query::Query& q, ExplainRecord* rec) const override;
 };
 
 }  // namespace ce

@@ -7,12 +7,19 @@
 #ifndef LCE_CE_DATA_DRIVEN_BINNING_H_
 #define LCE_CE_DATA_DRIVEN_BINNING_H_
 
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/storage/table.h"
 
 namespace lce {
 namespace ce {
+
+/// A query's constraint on each table-local column, [lo, hi] or nullopt for
+/// an unconstrained column: what a table model's Selectivity scores.
+using ColumnRanges =
+    std::vector<std::optional<std::pair<storage::Value, storage::Value>>>;
 
 /// Equi-width binning of one column's value range.
 class ColumnBinner {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/ce/edge_selectivity.h"
-#include "src/ce/join_formula.h"
 #include "src/nn/adam.h"
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
@@ -168,10 +166,8 @@ std::vector<float> NaruTableModel::Conditional(
   return logits;
 }
 
-double NaruTableModel::Selectivity(
-    const std::vector<std::optional<std::pair<storage::Value, storage::Value>>>&
-        ranges,
-    Rng* rng, NaruSamplingStats* stats) const {
+double NaruTableModel::Selectivity(const ColumnRanges& ranges, Rng* rng,
+                                   NaruSamplingStats* stats) const {
   if (modeled_cols_.empty()) return 1.0;
   // Progressive sampling only needs columns up to the last constrained one.
   int last = -1;
@@ -232,118 +228,35 @@ uint64_t NaruTableModel::NumParameters() const {
   return n;
 }
 
-Status NaruEstimator::Build(const storage::Database& db,
-                            const std::vector<query::LabeledQuery>& training) {
-  (void)training;  // data-driven: learns from the data alone
-  return UpdateWithData(db);
-}
-
-Status NaruEstimator::UpdateWithData(const storage::Database& db) {
-  schema_ = &db.schema();
-  Rng rng(seed_);
-  models_.clear();
-  models_.resize(db.num_tables());
-  table_rows_.assign(db.num_tables(), 0);
-  distinct_.assign(db.num_tables(), {});
-  train_examples_ = 0;
-  for (int t = 0; t < db.num_tables(); ++t) {
-    const storage::Table& table = db.table(t);
-    if (!table.finalized()) {
-      return Status::FailedPrecondition("table not finalized");
-    }
-    Rng fork = rng.Fork();
-    models_[t].Fit(table, options_, &fork);
-    train_examples_ += static_cast<int64_t>(
-        std::min(options_.max_training_rows, table.num_rows()));
-    table_rows_[t] = static_cast<double>(table.num_rows());
-    distinct_[t].resize(table.num_columns());
-    for (int c = 0; c < table.num_columns(); ++c) {
-      distinct_[t][c] = std::max<uint64_t>(1, table.stats(c).distinct);
-    }
-  }
-  if (options_.use_edge_selectivity) {
-    edge_rho_ = ComputeEdgeSelectivities(db);
-  }
-  if (options_.use_fanout_correction) {
-    fanout_.Build(db, FanoutCorrection::Options{});
-  }
-  return Status::OK();
-}
-
-double NaruEstimator::EstimateCardinality(const query::Query& q) {
-  return EstimateImpl(q, nullptr);
-}
-
-double NaruEstimator::EstimateWithDiagnostics(const query::Query& q,
-                                              ExplainRecord* rec) {
-  rec->estimator = Name();
-  FillQueryShape(q, rec);
-  double est = EstimateImpl(q, rec);
-  rec->estimate = est;
-  return est;
-}
-
-double NaruEstimator::EstimateImpl(const query::Query& q, ExplainRecord* rec) {
+double NaruEstimator::EstimateImpl(const query::Query& q,
+                                   ExplainRecord* rec) const {
   LCE_CHECK_MSG(schema_ != nullptr, "Build() before EstimateCardinality()");
   // Progressive sampling is dominated by autoregressive forward passes.
-  telemetry::StageTimer stages([this] { return Name(); });
-  stages.Stage("forward");
+  telemetry::StageTimer::Mark("forward");
   // One sampling stream per query, seeded from the query itself: the
   // estimate is a pure function of (build, query), whatever ran before it
   // and on whichever thread.
   Rng rng(parallel::ChunkSeed(seed_, query::Fingerprint(q)));
   NaruSamplingStats total;
-  auto filtered_rows = [&](int t) {
-    std::vector<std::optional<std::pair<storage::Value, storage::Value>>>
-        ranges(schema_->tables[t].columns.size());
-    for (const query::Predicate& p : q.predicates) {
-      if (p.col.table == t) ranges[p.col.column] = {{p.lo, p.hi}};
-    }
-    double sel = models_[t].Selectivity(ranges, &rng,
-                                        rec != nullptr ? &total : nullptr);
-    if (rec != nullptr) {
-      rec->AddCounter("table_sel.t" + std::to_string(t), sel);
-    }
-    return table_rows_[t] * sel;
-  };
   if (rec != nullptr) {
-    for (const query::Predicate& p : q.predicates) {
-      if (models_[p.col.table].ModelsColumn(p.col.column)) {
-        // Progressive sampling scores the conjunction jointly; no
-        // per-predicate attribution.
-        rec->predicates.push_back({p.col.table, p.col.column, p.lo, p.hi,
-                                   -1.0, "progressive_sampling"});
-      } else {
-        rec->predicates.push_back({p.col.table, p.col.column, p.lo, p.hi,
-                                   -1.0, "ignored_unmodeled"});
-        rec->AddFallback("naru.unmodeled_column_ignored",
-                         "table=" + std::to_string(p.col.table) + " column=" +
-                             std::to_string(p.col.column));
-      }
-    }
+    ExplainPredicates(q, "progressive_sampling", "ignored_unmodeled",
+                      "naru.unmodeled_column_ignored", rec);
   }
-  double correction =
-      options_.use_fanout_correction ? fanout_.CorrectionFactor(q) : 1.0;
-  double base =
-      options_.use_edge_selectivity
-          ? CombineWithEdgeSelectivities(*schema_, q, filtered_rows, edge_rho_)
-          : CombineWithJoinFormula(*schema_, q, filtered_rows, [&](int t, int c) {
-              return static_cast<double>(distinct_[t][c]);
-            });
-  if (rec != nullptr) {
-    rec->AddCounter("sampling_budget", static_cast<double>(total.num_samples));
-    rec->AddCounter("zero_weight_paths",
-                    static_cast<double>(total.zero_weight_paths));
-    rec->AddCounter("sampled_columns",
-                    static_cast<double>(total.sampled_columns));
-  }
-  return std::max(1.0, base * correction);
-}
-
-uint64_t NaruEstimator::SizeBytes() const {
-  uint64_t bytes = 0;
-  for (const auto& m : models_) bytes += m.SizeBytes();
-  return bytes;
+  return JoinTables(
+      q,
+      [&](int t, const ColumnRanges& ranges) {
+        return models_[t].Selectivity(ranges, &rng,
+                                      rec != nullptr ? &total : nullptr);
+      },
+      rec,
+      [&] {
+        rec->AddCounter("sampling_budget",
+                        static_cast<double>(total.num_samples));
+        rec->AddCounter("zero_weight_paths",
+                        static_cast<double>(total.zero_weight_paths));
+        rec->AddCounter("sampled_columns",
+                        static_cast<double>(total.sampled_columns));
+      });
 }
 
 void NaruEstimator::DescribeModel(telemetry::ModelCard* card) const {

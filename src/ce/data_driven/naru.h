@@ -13,13 +13,11 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/ce/data_driven/binning.h"
-#include "src/ce/edge_selectivity.h"
-#include "src/ce/estimator.h"
+#include "src/ce/data_driven/per_table.h"
 #include "src/nn/mlp.h"
 #include "src/util/rng.h"
 
@@ -61,10 +59,8 @@ class NaruTableModel {
   /// sampling with options.num_samples paths. `stats`, when non-null, counts
   /// sampling-budget spend and zero-mass paths without drawing any extra
   /// randomness, so `rng` advances exactly as in the plain call.
-  double Selectivity(
-      const std::vector<std::optional<std::pair<storage::Value,
-                                                storage::Value>>>& ranges,
-      Rng* rng, NaruSamplingStats* stats = nullptr) const;
+  double Selectivity(const ColumnRanges& ranges, Rng* rng,
+                     NaruSamplingStats* stats = nullptr) const;
 
   /// True when table-local column `c` is modeled (non-key). Constraints on
   /// unmodeled columns are silently ignored by Selectivity.
@@ -92,34 +88,17 @@ class NaruTableModel {
   int prefix_dim_total_ = 0;
 };
 
-class NaruEstimator : public Estimator {
+class NaruEstimator : public PerTableEstimator<NaruTableModel> {
  public:
   NaruEstimator() : NaruEstimator(NaruTableModel::Options{}) {}
   explicit NaruEstimator(NaruTableModel::Options options, uint64_t seed = 97)
-      : options_(options), seed_(seed) {}
+      : PerTableEstimator(options, seed) {}
 
   std::string Name() const override { return "Naru"; }
-  Status Build(const storage::Database& db,
-               const std::vector<query::LabeledQuery>& training) override;
-  double EstimateCardinality(const query::Query& q) override;
-  double EstimateWithDiagnostics(const query::Query& q,
-                                 ExplainRecord* rec) override;
-  Status UpdateWithData(const storage::Database& db) override;
-  uint64_t SizeBytes() const override;
   void DescribeModel(telemetry::ModelCard* card) const override;
 
- private:
-  double EstimateImpl(const query::Query& q, ExplainRecord* rec);
-
-  NaruTableModel::Options options_;
-  uint64_t seed_;  // training forks and each query's sampling stream
-  const storage::DatabaseSchema* schema_ = nullptr;
-  std::vector<NaruTableModel> models_;
-  int64_t train_examples_ = -1;
-  std::vector<double> table_rows_;
-  std::vector<std::vector<uint64_t>> distinct_;
-  std::vector<double> edge_rho_;
-  FanoutCorrection fanout_;
+ protected:
+  double EstimateImpl(const query::Query& q, ExplainRecord* rec) const override;
 };
 
 }  // namespace ce

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/ce/edge_selectivity.h"
-#include "src/ce/join_formula.h"
 #include "src/util/logging.h"
 #include "src/util/stats.h"
 #include "src/util/telemetry/stage_timer.h"
@@ -259,10 +257,8 @@ double SpnTableModel::EvalNode(
   return 1.0;
 }
 
-double SpnTableModel::Selectivity(
-    const std::vector<std::optional<std::pair<storage::Value, storage::Value>>>&
-        ranges,
-    SpnEvalStats* stats) const {
+double SpnTableModel::Selectivity(const ColumnRanges& ranges,
+                                  SpnEvalStats* stats) const {
   static telemetry::Counter& fallback_counter =
       telemetry::MetricsRegistry::Global().counter("ce.spn.uniform_fallback");
   double uniform_factor = 1.0;
@@ -284,7 +280,6 @@ double SpnTableModel::Selectivity(
     overlaps[c] = binners_[c].Overlap(ranges[c]->first, ranges[c]->second);
     by_col[c] = &overlaps[c];
   }
-  if (stats != nullptr) stats->uniform_factor = uniform_factor;
   double p = root_ >= 0 ? EvalNode(root_, by_col, stats) : 1.0;
   return std::clamp(p * uniform_factor, 0.0, 1.0);
 }
@@ -299,120 +294,31 @@ uint64_t SpnTableModel::SizeBytes() const {
   return bytes;
 }
 
-Status SpnEstimator::Build(const storage::Database& db,
-                           const std::vector<query::LabeledQuery>& training) {
-  (void)training;
-  return UpdateWithData(db);
-}
-
-Status SpnEstimator::UpdateWithData(const storage::Database& db) {
-  schema_ = &db.schema();
-  Rng rng(seed_);
-  models_.clear();
-  models_.resize(db.num_tables());
-  table_rows_.assign(db.num_tables(), 0);
-  distinct_.assign(db.num_tables(), {});
-  train_examples_ = 0;
-  for (int t = 0; t < db.num_tables(); ++t) {
-    const storage::Table& table = db.table(t);
-    if (!table.finalized()) {
-      return Status::FailedPrecondition("table not finalized");
-    }
-    Rng fork = rng.Fork();
-    models_[t].Fit(table, options_, &fork);
-    train_examples_ += static_cast<int64_t>(
-        std::min(options_.max_training_rows, table.num_rows()));
-    table_rows_[t] = static_cast<double>(table.num_rows());
-    distinct_[t].resize(table.num_columns());
-    for (int c = 0; c < table.num_columns(); ++c) {
-      distinct_[t][c] = std::max<uint64_t>(1, table.stats(c).distinct);
-    }
-  }
-  if (options_.use_edge_selectivity) {
-    edge_rho_ = ComputeEdgeSelectivities(db);
-  }
-  if (options_.use_fanout_correction) {
-    fanout_.Build(db, FanoutCorrection::Options{});
-  }
-  return Status::OK();
-}
-
-double SpnEstimator::EstimateCardinality(const query::Query& q) {
-  return EstimateImpl(q, nullptr);
-}
-
-double SpnEstimator::EstimateWithDiagnostics(const query::Query& q,
-                                             ExplainRecord* rec) {
-  rec->estimator = Name();
-  FillQueryShape(q, rec);
-  double est = EstimateImpl(q, rec);
-  rec->estimate = est;
-  return est;
-}
-
-double SpnEstimator::EstimateImpl(const query::Query& q, ExplainRecord* rec) {
+double SpnEstimator::EstimateImpl(const query::Query& q,
+                                  ExplainRecord* rec) const {
   LCE_CHECK_MSG(schema_ != nullptr, "Build() before EstimateCardinality()");
   // The whole estimate is circuit traversal plus the join formula.
-  telemetry::StageTimer stages([this] { return Name(); });
-  stages.Stage("traverse");
+  telemetry::StageTimer::Mark("traverse");
   SpnEvalStats total;
-  auto filtered_rows = [&](int t) {
-    std::vector<std::optional<std::pair<storage::Value, storage::Value>>>
-        ranges(schema_->tables[t].columns.size());
-    for (const query::Predicate& p : q.predicates) {
-      if (p.col.table == t) ranges[p.col.column] = {{p.lo, p.hi}};
-    }
-    if (rec == nullptr) {
-      return table_rows_[t] * models_[t].Selectivity(ranges);
-    }
-    SpnEvalStats stats;
-    double sel = models_[t].Selectivity(ranges, &stats);
-    total.leaf_visits += stats.leaf_visits;
-    total.product_visits += stats.product_visits;
-    total.sum_visits += stats.sum_visits;
-    total.uniform_fallbacks += stats.uniform_fallbacks;
-    rec->AddCounter("table_sel.t" + std::to_string(t), sel);
-    return table_rows_[t] * sel;
-  };
   if (rec != nullptr) {
-    for (const query::Predicate& p : q.predicates) {
-      if (models_[p.col.table].ModelsColumn(p.col.column)) {
-        // SPNs evaluate the conjunction jointly; no per-predicate share.
-        rec->predicates.push_back({p.col.table, p.col.column, p.lo, p.hi,
-                                   -1.0, "spn"});
-      } else {
-        rec->predicates.push_back({p.col.table, p.col.column, p.lo, p.hi,
-                                   -1.0, "uniform_fallback"});
-        rec->AddFallback("spn.key_column_uniform",
-                         "table=" + std::to_string(p.col.table) + " column=" +
-                             std::to_string(p.col.column));
-      }
-    }
+    ExplainPredicates(q, "spn", "uniform_fallback", "spn.key_column_uniform",
+                      rec);
   }
-  double correction =
-      options_.use_fanout_correction ? fanout_.CorrectionFactor(q) : 1.0;
-  double base =
-      options_.use_edge_selectivity
-          ? CombineWithEdgeSelectivities(*schema_, q, filtered_rows, edge_rho_)
-          : CombineWithJoinFormula(*schema_, q, filtered_rows, [&](int t, int c) {
-              return static_cast<double>(distinct_[t][c]);
-            });
-  if (rec != nullptr) {
-    rec->AddCounter("leaf_visits", static_cast<double>(total.leaf_visits));
-    rec->AddCounter("product_visits",
-                    static_cast<double>(total.product_visits));
-    rec->AddCounter("sum_visits", static_cast<double>(total.sum_visits));
-    rec->AddCounter("uniform_fallbacks",
-                    static_cast<double>(total.uniform_fallbacks));
-    rec->AddCounter("fanout_correction", correction);
-  }
-  return std::max(1.0, base * correction);
-}
-
-uint64_t SpnEstimator::SizeBytes() const {
-  uint64_t bytes = 0;
-  for (const auto& m : models_) bytes += m.SizeBytes();
-  return bytes;
+  return JoinTables(
+      q,
+      [&](int t, const ColumnRanges& ranges) {
+        return models_[t].Selectivity(ranges,
+                                      rec != nullptr ? &total : nullptr);
+      },
+      rec,
+      [&] {
+        rec->AddCounter("leaf_visits", static_cast<double>(total.leaf_visits));
+        rec->AddCounter("product_visits",
+                        static_cast<double>(total.product_visits));
+        rec->AddCounter("sum_visits", static_cast<double>(total.sum_visits));
+        rec->AddCounter("uniform_fallbacks",
+                        static_cast<double>(total.uniform_fallbacks));
+      });
 }
 
 void SpnEstimator::DescribeModel(telemetry::ModelCard* card) const {

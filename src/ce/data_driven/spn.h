@@ -11,26 +11,23 @@
 #define LCE_CE_DATA_DRIVEN_SPN_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/ce/data_driven/binning.h"
-#include "src/ce/edge_selectivity.h"
-#include "src/ce/estimator.h"
+#include "src/ce/data_driven/per_table.h"
 #include "src/util/rng.h"
 
 namespace lce {
 namespace ce {
 
-/// Evaluation statistics of one SpnTableModel::Selectivity call: node visits
+/// Evaluation statistics of SpnTableModel::Selectivity calls: node visits
 /// by kind plus the uniform fallbacks taken for constrained key columns.
 struct SpnEvalStats {
   uint64_t leaf_visits = 0;
   uint64_t product_visits = 0;
   uint64_t sum_visits = 0;
   int uniform_fallbacks = 0;
-  double uniform_factor = 1.0;
 };
 
 class SpnTableModel {
@@ -53,12 +50,10 @@ class SpnTableModel {
 
   /// P(conjunction of ranges) over modeled (non-key) columns; unmodeled
   /// constrained columns contribute a uniform factor. `stats`, when non-null,
-  /// receives node-visit counts and fallback totals; collecting them never
-  /// changes the returned probability.
-  double Selectivity(
-      const std::vector<std::optional<std::pair<storage::Value,
-                                                storage::Value>>>& ranges,
-      SpnEvalStats* stats = nullptr) const;
+  /// accumulates node-visit counts and fallback totals; collecting them
+  /// never changes the returned probability.
+  double Selectivity(const ColumnRanges& ranges,
+                     SpnEvalStats* stats = nullptr) const;
 
   /// True when table-local column `c` is covered by the SPN (non-key);
   /// constrained unmodeled columns take the uniform fallback.
@@ -97,34 +92,17 @@ class SpnTableModel {
   int root_ = -1;
 };
 
-class SpnEstimator : public Estimator {
+class SpnEstimator : public PerTableEstimator<SpnTableModel> {
  public:
   SpnEstimator() : SpnEstimator(SpnTableModel::Options{}) {}
   explicit SpnEstimator(SpnTableModel::Options options, uint64_t seed = 131)
-      : options_(options), seed_(seed) {}
+      : PerTableEstimator(options, seed) {}
 
   std::string Name() const override { return "DeepDB-SPN"; }
-  Status Build(const storage::Database& db,
-               const std::vector<query::LabeledQuery>& training) override;
-  double EstimateCardinality(const query::Query& q) override;
-  double EstimateWithDiagnostics(const query::Query& q,
-                                 ExplainRecord* rec) override;
-  Status UpdateWithData(const storage::Database& db) override;
-  uint64_t SizeBytes() const override;
   void DescribeModel(telemetry::ModelCard* card) const override;
 
- private:
-  double EstimateImpl(const query::Query& q, ExplainRecord* rec);
-
-  SpnTableModel::Options options_;
-  uint64_t seed_;
-  const storage::DatabaseSchema* schema_ = nullptr;
-  std::vector<SpnTableModel> models_;
-  int64_t train_examples_ = -1;
-  std::vector<double> table_rows_;
-  std::vector<std::vector<uint64_t>> distinct_;
-  std::vector<double> edge_rho_;
-  FanoutCorrection fanout_;
+ protected:
+  double EstimateImpl(const query::Query& q, ExplainRecord* rec) const override;
 };
 
 }  // namespace ce

@@ -2,20 +2,25 @@
 //
 // Every estimator — traditional, query-driven, data-driven — implements this
 // API so the evaluation harness, the optimizer, and the update experiments can
-// treat the whole zoo interchangeably.
+// treat the whole zoo interchangeably. An estimator implements one estimate,
+// EstimateImpl(q, rec) const; the two public entry points, EstimateCardinality
+// and EstimateWithDiagnostics, are the base's (estimator.cpp). They own the
+// per-query StageTimer and the record's name, shape and estimate, so an
+// estimator only marks its stages (StageTimer::Mark) and, when `rec` is
+// given, reads its diagnostics into it.
 //
 // Reentrancy contract: after Build() (or an update) returns, estimation
-// writes no member. Every Estimate* call is a pure function of (build,
-// query): the same query gets the same bits on repeat, in any order, and
-// from any number of concurrent threads. Sampling estimators seed a local
-// Rng per query from parallel::ChunkSeed(seed, query::Fingerprint(q))
-// instead of advancing a member stream. The evaluation harness scores
-// queries in parallel and the estimation service runs requests
-// concurrently on this contract; tests/zoo_property_test.cpp checks it for
-// the whole zoo. Build and update calls must not run concurrently with
-// estimation on the same instance. The Estimate* methods are not `const`
-// only because the benchmark's timing decorator (lcebench/) overrides these
-// signatures.
+// writes no member — EstimateImpl is `const`, so the compiler checks it.
+// Every Estimate* call is a pure function of (build, query): the same query
+// gets the same bits on repeat, in any order, and from any number of
+// concurrent threads. Sampling estimators seed a local Rng per query from
+// parallel::ChunkSeed(seed, query::Fingerprint(q)) instead of advancing a
+// member stream. The evaluation harness scores queries in parallel and the
+// estimation service runs requests concurrently on this contract;
+// tests/zoo_property_test.cpp checks it for the whole zoo. Build and update
+// calls must not run concurrently with estimation on the same instance. The
+// two entry points are virtual and not `const` only because the benchmark's
+// timing decorator (lcebench/) overrides these signatures.
 
 #ifndef LCE_CE_ESTIMATOR_H_
 #define LCE_CE_ESTIMATOR_H_
@@ -47,8 +52,8 @@ class Estimator {
                        const std::vector<query::LabeledQuery>& training) = 0;
 
   /// Estimated COUNT(*) of `q`. Always >= 1 (the study's q-error convention
-  /// clamps both sides at one tuple).
-  virtual double EstimateCardinality(const query::Query& q) = 0;
+  /// clamps both sides at one tuple). Times EstimateImpl(q, nullptr).
+  virtual double EstimateCardinality(const query::Query& q);
 
   /// Estimates for many queries at once. Semantically a loop over
   /// EstimateCardinality() — the default is exactly that — but estimators
@@ -69,20 +74,13 @@ class Estimator {
   virtual bool HasBatchEstimate() const { return false; }
 
   /// EstimateCardinality() plus diagnostics: fills `rec` with the estimator
-  /// name, query shape, and — where the estimator overrides this — the
+  /// name, query shape and estimate, and EstimateImpl(q, rec) adds the
   /// per-predicate selectivity breakdown, fallback events, and
   /// model-internal counters behind the number. The returned estimate is
-  /// bit-identical to EstimateCardinality() on the same build: overrides
-  /// share the arithmetic and only *read* already-computed values. Callers
-  /// own latency/truth/q-error fields. `rec` must be non-null.
+  /// bit-identical to EstimateCardinality() on the same build: the record
+  /// only *reads* already-computed values. `rec` must be non-null.
   virtual double EstimateWithDiagnostics(const query::Query& q,
-                                         ExplainRecord* rec) {
-    rec->estimator = Name();
-    FillQueryShape(q, rec);
-    double est = EstimateCardinality(q);
-    rec->estimate = est;
-    return est;
-  }
+                                         ExplainRecord* rec);
 
   /// Incorporates newly observed labeled queries (incremental training).
   /// Default: unsupported (traditional/data-driven estimators).
@@ -122,6 +120,15 @@ class Estimator {
     card->model = Name();
     card->footprint_bytes = static_cast<int64_t>(FootprintBytes());
   }
+
+ protected:
+  /// The estimate of `q`, >= 1: the one method an estimator implements.
+  /// `rec` is null on the plain path; when given, the estimator appends its
+  /// predicate explanations, fallbacks and counters without changing the
+  /// arithmetic. The base body fails a check; it is not pure only so the
+  /// benchmark's timing decorator, which forwards both entry points, need
+  /// not implement it.
+  virtual double EstimateImpl(const query::Query& q, ExplainRecord* rec) const;
 };
 
 }  // namespace ce

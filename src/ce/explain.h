@@ -1,17 +1,19 @@
 // Per-query explain records: the structured "why" behind every estimate.
 //
-// An ExplainRecord is filled by Estimator::EstimateWithDiagnostics and
-// captures, per query, the per-predicate selectivity breakdown, every
-// fallback the estimator silently took (uniform assumptions, unmodeled
-// columns), model-internal counters (tree depths, SPN node visits, sampling
-// budgets), and — when the caller knows the label — latency and q-error.
-// MakeForensicRecord copies a query and its diagnostics into the flight
-// recorder's fixed-size record, the one per-query record the ring, the
-// postmortem bundles and the LCE_QUERY_LOG file share.
+// An ExplainRecord is filled by Estimator::EstimateWithDiagnostics: the
+// base writes the estimator name, query shape and estimate, and the
+// estimator's EstimateImpl adds, per query, the per-predicate selectivity
+// breakdown, every fallback it silently took (uniform assumptions,
+// unmodeled columns), and model-internal counters (tree depths, SPN node
+// visits, sampling budgets). MakeForensicRecord copies a query and its
+// diagnostics into the flight recorder's fixed-size record, the one
+// per-query record the ring, the postmortem bundles and the LCE_QUERY_LOG
+// file share; labels (truth, q-error, latency) live there.
 //
-// Collecting diagnostics never changes the estimate: implementations share
-// the arithmetic of EstimateCardinality and only *read* values already
-// computed, so estimates are bit-identical with and without a record.
+// Collecting diagnostics never changes the estimate: the plain and the
+// diagnosed call run the same EstimateImpl, which only *reads* values
+// already computed into the record, so estimates are bit-identical with and
+// without a record.
 
 #ifndef LCE_CE_EXPLAIN_H_
 #define LCE_CE_EXPLAIN_H_
@@ -52,12 +54,8 @@ struct FallbackEvent {
 };
 
 struct ExplainRecord {
-  std::string estimator;     // Estimator::Name(), or "exec.oracle"
-  std::string kind = "estimate";  // "estimate" | "exec"
+  std::string estimator;  // Estimator::Name()
   double estimate = 0;
-  double truth = -1;         // ground-truth cardinality; <0 = unknown
-  double qerror = -1;        // <0 = unknown (no label)
-  double latency_us = -1;    // <0 = not measured
   int num_tables = 0;
   int num_joins = 0;
   int num_predicates = 0;

@@ -35,15 +35,35 @@ Status LwXgbEstimator::Build(
   return Status::OK();
 }
 
-double LwXgbEstimator::EstimateCardinality(const query::Query& q) {
+double LwXgbEstimator::EstimateImpl(const query::Query& q,
+                                    ExplainRecord* rec) const {
   LCE_CHECK_MSG(model_ != nullptr, "Build() before EstimateCardinality()");
-  telemetry::StageTimer stages([this] { return Name(); });
-  stages.Stage("encode");
+  telemetry::StageTimer::Mark("encode");
   std::vector<float> row = encoder_->FlatEncode(q, options_.flat_variant);
-  stages.Stage("traverse");
-  float y = model_->Predict(row);
-  stages.Stage("postprocess");
-  return encoder_->DenormalizeLog(std::clamp(y, 0.0f, 1.0f));
+  telemetry::StageTimer::Mark("traverse");
+  gbdt::GradientBoosting::PredictStats stats;
+  float y = model_->Predict(row, &stats);
+  telemetry::StageTimer::Mark("postprocess");
+  float clamped = std::clamp(y, 0.0f, 1.0f);
+  if (rec != nullptr) {
+    for (const query::Predicate& p : q.predicates) {
+      // Tree ensembles estimate jointly; no per-predicate attribution.
+      rec->predicates.push_back({p.col.table, p.col.column, p.lo, p.hi, -1.0,
+                                 "gbdt"});
+    }
+    rec->AddCounter("pred_normalized", static_cast<double>(y));
+    rec->AddCounter("trees", static_cast<double>(stats.trees));
+    rec->AddCounter("nodes_visited", static_cast<double>(stats.nodes_visited));
+    rec->AddCounter("mean_path_depth", stats.mean_path_depth);
+    rec->AddCounter("max_path_depth",
+                    static_cast<double>(stats.max_path_depth));
+    if (y != clamped) {
+      rec->AddFallback("gbdt.output_clamped",
+                       "ensemble output " + std::to_string(y) +
+                           " clamped to [0,1] before denormalization");
+    }
+  }
+  return encoder_->DenormalizeLog(clamped);
 }
 
 std::vector<double> LwXgbEstimator::EstimateBatch(
@@ -68,39 +88,6 @@ std::vector<double> LwXgbEstimator::EstimateBatch(
     out.push_back(encoder_->DenormalizeLog(std::clamp(y, 0.0f, 1.0f)));
   }
   return out;
-}
-
-double LwXgbEstimator::EstimateWithDiagnostics(const query::Query& q,
-                                               ExplainRecord* rec) {
-  LCE_CHECK_MSG(model_ != nullptr, "Build() before EstimateCardinality()");
-  rec->estimator = Name();
-  FillQueryShape(q, rec);
-  for (const query::Predicate& p : q.predicates) {
-    // Tree ensembles estimate jointly; no per-predicate attribution.
-    rec->predicates.push_back({p.col.table, p.col.column, p.lo, p.hi, -1.0,
-                               "gbdt"});
-  }
-  telemetry::StageTimer stages([this] { return Name(); });
-  stages.Stage("encode");
-  std::vector<float> row = encoder_->FlatEncode(q, options_.flat_variant);
-  stages.Stage("traverse");
-  gbdt::GradientBoosting::PredictStats stats;
-  float y = model_->PredictWithStats(row, &stats);
-  stages.Stage("postprocess");
-  float clamped = std::clamp(y, 0.0f, 1.0f);
-  double est = encoder_->DenormalizeLog(clamped);
-  rec->AddCounter("pred_normalized", static_cast<double>(y));
-  rec->AddCounter("trees", static_cast<double>(stats.trees));
-  rec->AddCounter("nodes_visited", static_cast<double>(stats.nodes_visited));
-  rec->AddCounter("mean_path_depth", stats.mean_path_depth);
-  rec->AddCounter("max_path_depth", static_cast<double>(stats.max_path_depth));
-  if (y != clamped) {
-    rec->AddFallback("gbdt.output_clamped",
-                     "ensemble output " + std::to_string(y) +
-                         " clamped to [0,1] before denormalization");
-  }
-  rec->estimate = est;
-  return est;
 }
 
 Status LwXgbEstimator::UpdateWithQueries(

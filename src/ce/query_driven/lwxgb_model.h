@@ -31,18 +31,18 @@ class LwXgbEstimator : public Estimator {
   std::string Name() const override { return "LW-XGB"; }
   Status Build(const storage::Database& db,
                const std::vector<query::LabeledQuery>& training) override;
-  double EstimateCardinality(const query::Query& q) override;
   /// Batched inference: encodes all queries, then one level-synchronous
   /// PredictBatch() over the SoA forest. Bit-identical to the per-query path.
   std::vector<double> EstimateBatch(
       const std::vector<query::Query>& queries) override;
   bool HasBatchEstimate() const override { return true; }
-  double EstimateWithDiagnostics(const query::Query& q,
-                                 ExplainRecord* rec) override;
   Status UpdateWithQueries(
       const std::vector<query::LabeledQuery>& queries) override;
   uint64_t SizeBytes() const override;
   void DescribeModel(telemetry::ModelCard* card) const override;
+
+ protected:
+  double EstimateImpl(const query::Query& q, ExplainRecord* rec) const override;
 
  private:
   Options options_;

@@ -289,21 +289,31 @@ void NeuralQueryDrivenEstimator::ForwardBlock(QueryBatch queries,
   for (int i = 0; i < preds.rows(); ++i) ys[i] = preds.At(i, 0);
 }
 
-float NeuralQueryDrivenEstimator::ForwardOne(const query::Query& q) const {
+double NeuralQueryDrivenEstimator::EstimateImpl(const query::Query& q,
+                                                ExplainRecord* rec) const {
+  LCE_CHECK_MSG(built_, Name() << ": Build() before EstimateCardinality()");
+  // Stage decomposition: ForwardBlock marks encode/forward; the denormalize
+  // tail is postprocess.
   const query::Query* one = &q;
   float y;
   ForwardBlock(QueryBatch(&one, 1), &y);
-  return y;
-}
-
-double NeuralQueryDrivenEstimator::EstimateCardinality(const query::Query& q) {
-  LCE_CHECK_MSG(built_, Name() << ": Build() before EstimateCardinality()");
-  // Stage decomposition: ForwardOne marks encode/forward; the denormalize
-  // tail is postprocess.
-  telemetry::StageTimer stages([this] { return Name(); });
-  float y = ForwardOne(q);
   telemetry::StageTimer::Mark("postprocess");
-  return encoder_->DenormalizeLog(std::clamp(y, 0.0f, 1.0f));
+  float clamped = std::clamp(y, 0.0f, 1.0f);
+  if (rec != nullptr) {
+    for (const query::Predicate& p : q.predicates) {
+      // Learned models estimate jointly; no per-predicate attribution.
+      rec->predicates.push_back({p.col.table, p.col.column, p.lo, p.hi, -1.0,
+                                 "learned"});
+    }
+    rec->AddCounter("pred_normalized", static_cast<double>(y));
+    AddFeatureStats(encoder_->FlatEncode(q, options_.flat_variant), rec);
+    if (y != clamped) {
+      rec->AddFallback("nn.output_clamped",
+                       "sigmoid output " + std::to_string(y) +
+                           " clamped to [0,1] before denormalization");
+    }
+  }
+  return encoder_->DenormalizeLog(clamped);
 }
 
 std::vector<double> NeuralQueryDrivenEstimator::EstimateBatch(
@@ -356,37 +366,6 @@ std::vector<double> NeuralQueryDrivenEstimator::EstimateBatch(
     out[i] = encoder_->DenormalizeLog(std::clamp(ys[i], 0.0f, 1.0f));
   }
   return out;
-}
-
-double NeuralQueryDrivenEstimator::EstimateWithDiagnostics(
-    const query::Query& q, ExplainRecord* rec) {
-  LCE_CHECK_MSG(built_, Name() << ": Build() before EstimateCardinality()");
-  rec->estimator = Name();
-  FillQueryShape(q, rec);
-  for (const query::Predicate& p : q.predicates) {
-    // Learned models estimate jointly; no per-predicate attribution.
-    rec->predicates.push_back({p.col.table, p.col.column, p.lo, p.hi, -1.0,
-                               "learned"});
-  }
-  double est;
-  float y, clamped;
-  {
-    telemetry::StageTimer stages([this] { return Name(); });
-    y = ForwardOne(q);
-    telemetry::StageTimer::Mark("postprocess");
-    clamped = std::clamp(y, 0.0f, 1.0f);
-    est = encoder_->DenormalizeLog(clamped);
-  }
-
-  rec->AddCounter("pred_normalized", static_cast<double>(y));
-  AddFeatureStats(encoder_->FlatEncode(q, options_.flat_variant), rec);
-  if (y != clamped) {
-    rec->AddFallback("nn.output_clamped",
-                     "sigmoid output " + std::to_string(y) +
-                         " clamped to [0,1] before denormalization");
-  }
-  rec->estimate = est;
-  return est;
 }
 
 uint64_t NeuralQueryDrivenEstimator::SizeBytes() const {

@@ -53,15 +53,12 @@ class NeuralQueryDrivenEstimator : public Estimator {
 
   Status Build(const storage::Database& db,
                const std::vector<query::LabeledQuery>& training) override;
-  double EstimateCardinality(const query::Query& q) override;
   /// One batched Forward for the whole request vector, then the shared
-  /// clamp + denormalize tail per query. EstimateCardinality is the batch
-  /// of one, so the two agree bit for bit by the kernel-layer contract.
+  /// clamp + denormalize tail per query. EstimateImpl is the batch of one,
+  /// so the two agree bit for bit by the kernel-layer contract.
   std::vector<double> EstimateBatch(
       const std::vector<query::Query>& queries) override;
   bool HasBatchEstimate() const override { return true; }
-  double EstimateWithDiagnostics(const query::Query& q,
-                                 ExplainRecord* rec) override;
   Status UpdateWithQueries(
       const std::vector<query::LabeledQuery>& queries) override;
   uint64_t SizeBytes() const override;
@@ -86,6 +83,8 @@ class NeuralQueryDrivenEstimator : public Estimator {
   const NeuralOptions& options() const { return options_; }
 
  protected:
+  double EstimateImpl(const query::Query& q, ExplainRecord* rec) const override;
+
   /// The queries of one row block: a view, nothing is copied.
   using QueryBatch = std::span<const query::Query* const>;
 
@@ -160,8 +159,6 @@ class NeuralQueryDrivenEstimator : public Estimator {
   /// calling thread whose kernels fan out on their own; marks the encode
   /// and forward stages.
   void ForwardBlock(QueryBatch queries, float* ys) const;
-  /// ForwardBlock for one query.
-  float ForwardOne(const query::Query& q) const;
 
  protected:
   NeuralOptions options_;

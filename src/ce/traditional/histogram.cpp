@@ -137,35 +137,11 @@ Status HistogramEstimator::UpdateWithData(const storage::Database& db) {
   return Status::OK();
 }
 
-double HistogramEstimator::TableSelectivity(const query::Query& q,
-                                            int table_index) const {
-  double sel = 1.0;
-  for (const query::Predicate& p : q.predicates) {
-    if (p.col.table != table_index) continue;
-    sel *= stats_[table_index][p.col.column].Selectivity(p.lo, p.hi);
-  }
-  return sel;
-}
-
-double HistogramEstimator::EstimateCardinality(const query::Query& q) {
-  return EstimateImpl(q, nullptr);
-}
-
-double HistogramEstimator::EstimateWithDiagnostics(const query::Query& q,
-                                                   ExplainRecord* rec) {
-  rec->estimator = Name();
-  FillQueryShape(q, rec);
-  double est = EstimateImpl(q, rec);
-  rec->estimate = est;
-  return est;
-}
-
 double HistogramEstimator::EstimateImpl(const query::Query& q,
-                                        ExplainRecord* rec) {
+                                        ExplainRecord* rec) const {
   LCE_CHECK_MSG(schema_ != nullptr, "Build() before EstimateCardinality()");
   // Bucket lookups plus the join formula; no separate encode step.
-  telemetry::StageTimer stages([this] { return Name(); });
-  stages.Stage("traverse");
+  telemetry::StageTimer::Mark("traverse");
   double card = 1.0;
   for (int t : q.tables) {
     double sel = 1.0;

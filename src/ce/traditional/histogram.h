@@ -74,18 +74,13 @@ class HistogramEstimator : public Estimator {
   std::string Name() const override { return "Histogram"; }
   Status Build(const storage::Database& db,
                const std::vector<query::LabeledQuery>& training) override;
-  double EstimateCardinality(const query::Query& q) override;
-  double EstimateWithDiagnostics(const query::Query& q,
-                                 ExplainRecord* rec) override;
   Status UpdateWithData(const storage::Database& db) override;
   uint64_t SizeBytes() const override;
 
-  /// Selectivity of all of `q`'s predicates on `table_index` (independence).
-  double TableSelectivity(const query::Query& q, int table_index) const;
+ protected:
+  double EstimateImpl(const query::Query& q, ExplainRecord* rec) const override;
 
  private:
-  double EstimateImpl(const query::Query& q, ExplainRecord* rec);
-
   Options options_;
   const storage::DatabaseSchema* schema_ = nullptr;
   std::vector<std::vector<ColumnStatistics>> stats_;  // [table][column]

@@ -93,11 +93,11 @@ double KdeEstimator::TableSelectivity(const query::Query& q, int table) const {
   return total / static_cast<double>(m);
 }
 
-double KdeEstimator::EstimateCardinality(const query::Query& q) {
+double KdeEstimator::EstimateImpl(const query::Query& q,
+                                  ExplainRecord*) const {
   LCE_CHECK_MSG(schema_ != nullptr, "Build() before EstimateCardinality()");
   // Kernel sums over the stored samples plus the join formula.
-  telemetry::StageTimer stages([this] { return Name(); });
-  stages.Stage("traverse");
+  telemetry::StageTimer::Mark("traverse");
   return CombineWithJoinFormula(
       *schema_, q,
       [&](int t) { return tables_[t].rows * TableSelectivity(q, t); },

@@ -25,9 +25,11 @@ class KdeEstimator : public Estimator {
   std::string Name() const override { return "KDE"; }
   Status Build(const storage::Database& db,
                const std::vector<query::LabeledQuery>& training) override;
-  double EstimateCardinality(const query::Query& q) override;
   Status UpdateWithData(const storage::Database& db) override;
   uint64_t SizeBytes() const override;
+
+ protected:
+  double EstimateImpl(const query::Query& q, ExplainRecord* rec) const override;
 
  private:
   struct TableKde {

@@ -139,25 +139,11 @@ Status MultiDimHistogramEstimator::UpdateWithData(const storage::Database& db) {
   return Status::OK();
 }
 
-double MultiDimHistogramEstimator::EstimateCardinality(const query::Query& q) {
-  return EstimateImpl(q, nullptr);
-}
-
-double MultiDimHistogramEstimator::EstimateWithDiagnostics(
-    const query::Query& q, ExplainRecord* rec) {
-  rec->estimator = Name();
-  FillQueryShape(q, rec);
-  double est = EstimateImpl(q, rec);
-  rec->estimate = est;
-  return est;
-}
-
 double MultiDimHistogramEstimator::EstimateImpl(const query::Query& q,
-                                                ExplainRecord* rec) {
+                                                ExplainRecord* rec) const {
   LCE_CHECK_MSG(schema_ != nullptr, "Build() before EstimateCardinality()");
   // Grid probes plus the join formula; no separate encode step.
-  telemetry::StageTimer stages([this] { return Name(); });
-  stages.Stage("traverse");
+  telemetry::StageTimer::Mark("traverse");
   static telemetry::Counter& fallback_counter =
       telemetry::MetricsRegistry::Global().counter(
           "ce.multihist.uniform_fallback");

@@ -57,15 +57,13 @@ class MultiDimHistogramEstimator : public Estimator {
   std::string Name() const override { return "MultiHist"; }
   Status Build(const storage::Database& db,
                const std::vector<query::LabeledQuery>& training) override;
-  double EstimateCardinality(const query::Query& q) override;
-  double EstimateWithDiagnostics(const query::Query& q,
-                                 ExplainRecord* rec) override;
   Status UpdateWithData(const storage::Database& db) override;
   uint64_t SizeBytes() const override;
 
- private:
-  double EstimateImpl(const query::Query& q, ExplainRecord* rec);
+ protected:
+  double EstimateImpl(const query::Query& q, ExplainRecord* rec) const override;
 
+ private:
   Options options_;
   const storage::DatabaseSchema* schema_ = nullptr;
   std::vector<GridHistogram> grids_;          // one per table

@@ -48,26 +48,12 @@ Status SamplingEstimator::UpdateWithData(const storage::Database& db) {
   return Status::OK();
 }
 
-double SamplingEstimator::EstimateCardinality(const query::Query& q) {
-  return EstimateImpl(q, nullptr);
-}
-
-double SamplingEstimator::EstimateWithDiagnostics(const query::Query& q,
-                                                  ExplainRecord* rec) {
-  rec->estimator = Name();
-  FillQueryShape(q, rec);
-  double est = EstimateImpl(q, rec);
-  rec->estimate = est;
-  return est;
-}
-
 double SamplingEstimator::EstimateImpl(const query::Query& q,
-                                       ExplainRecord* rec) {
+                                       ExplainRecord* rec) const {
   LCE_CHECK_MSG(executor_ != nullptr, "Build() before EstimateCardinality()");
-  telemetry::StageTimer stages([this] { return Name(); });
-  stages.Stage("traverse");
+  telemetry::StageTimer::Mark("traverse");
   double count = executor_->Cardinality(q);
-  stages.Stage("postprocess");
+  telemetry::StageTimer::Mark("postprocess");
   double scale = 1.0;
   for (int t : q.tables) scale *= scale_[t];
   if (rec != nullptr) {

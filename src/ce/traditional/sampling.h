@@ -27,15 +27,13 @@ class SamplingEstimator : public Estimator {
   std::string Name() const override { return "Sampling"; }
   Status Build(const storage::Database& db,
                const std::vector<query::LabeledQuery>& training) override;
-  double EstimateCardinality(const query::Query& q) override;
-  double EstimateWithDiagnostics(const query::Query& q,
-                                 ExplainRecord* rec) override;
   Status UpdateWithData(const storage::Database& db) override;
   uint64_t SizeBytes() const override;
 
- private:
-  double EstimateImpl(const query::Query& q, ExplainRecord* rec);
+ protected:
+  double EstimateImpl(const query::Query& q, ExplainRecord* rec) const override;
 
+ private:
   Options options_;
   std::unique_ptr<storage::Database> sample_db_;
   std::unique_ptr<exec::Executor> executor_;

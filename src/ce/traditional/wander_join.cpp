@@ -49,11 +49,11 @@ bool WanderJoinEstimator::RowPasses(const query::Query& q, int table,
   return true;
 }
 
-double WanderJoinEstimator::EstimateCardinality(const query::Query& q) {
+double WanderJoinEstimator::EstimateImpl(const query::Query& q,
+                                         ExplainRecord*) const {
   LCE_CHECK_MSG(db_ != nullptr, "Build() before EstimateCardinality()");
   // encode = walk-order planning; traverse = the random walks themselves.
-  telemetry::StageTimer stages([this] { return Name(); });
-  stages.Stage("encode");
+  telemetry::StageTimer::Mark("encode");
   const storage::DatabaseSchema& schema = db_->schema();
 
   // Walk order: BFS over the query's join tree from its first table. Each
@@ -96,7 +96,7 @@ double WanderJoinEstimator::EstimateCardinality(const query::Query& q) {
 
   const storage::Table& first = db_->table(q.tables[0]);
   if (first.num_rows() == 0) return 1.0;
-  stages.Stage("traverse");
+  telemetry::StageTimer::Mark("traverse");
   // One walk stream per query, seeded from the query itself: the estimate is
   // a pure function of (build, query), whatever ran before it and on
   // whichever thread.

@@ -34,9 +34,11 @@ class WanderJoinEstimator : public Estimator {
   /// estimator (it is an online method by design).
   Status Build(const storage::Database& db,
                const std::vector<query::LabeledQuery>& training) override;
-  double EstimateCardinality(const query::Query& q) override;
   Status UpdateWithData(const storage::Database& db) override;
   uint64_t SizeBytes() const override;
+
+ protected:
+  double EstimateImpl(const query::Query& q, ExplainRecord* rec) const override;
 
  private:
   bool RowPasses(const query::Query& q, int table, uint32_t row) const;

@@ -247,12 +247,23 @@ void GradientBoosting::AddTrees(
   }
 }
 
-float GradientBoosting::Predict(const std::vector<float>& row) const {
+float GradientBoosting::Predict(const std::vector<float>& row,
+                                PredictStats* stats) const {
   LCE_CHECK_MSG(fitted_, "Fit() before Predict()");
   std::vector<uint8_t> binned = binner_.Transform(row);
   float out = base_score_;
+  PredictStats s;
   for (const RegressionTree& tree : trees_) {
-    out += options_.learning_rate * tree.Predict(binned);
+    int depth = 0;
+    out += options_.learning_rate * tree.Predict(binned, &depth);
+    s.nodes_visited += static_cast<uint64_t>(depth);
+    s.max_path_depth = std::max(s.max_path_depth, depth);
+  }
+  if (stats != nullptr) {
+    s.trees = static_cast<int>(trees_.size());
+    s.mean_path_depth =
+        s.trees > 0 ? static_cast<double>(s.nodes_visited) / s.trees : 0.0;
+    *stats = s;
   }
   return out;
 }
@@ -292,26 +303,6 @@ std::vector<float> GradientBoosting::PredictBatch(
     flat_.Accumulate(bins.data(), num_features, b, e, 0, flat_.num_trees(),
                      options_.learning_rate, out.data() + b);
   });
-  return out;
-}
-
-float GradientBoosting::PredictWithStats(const std::vector<float>& row,
-                                         PredictStats* stats) const {
-  LCE_CHECK_MSG(fitted_, "Fit() before Predict()");
-  std::vector<uint8_t> binned = binner_.Transform(row);
-  float out = base_score_;
-  *stats = PredictStats{};
-  for (const RegressionTree& tree : trees_) {
-    int depth = 0;
-    out += options_.learning_rate * tree.PredictWithDepth(binned, &depth);
-    ++stats->trees;
-    stats->nodes_visited += static_cast<uint64_t>(depth);
-    stats->max_path_depth = std::max(stats->max_path_depth, depth);
-  }
-  stats->mean_path_depth =
-      stats->trees > 0
-          ? static_cast<double>(stats->nodes_visited) / stats->trees
-          : 0.0;
   return out;
 }
 

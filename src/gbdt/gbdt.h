@@ -75,16 +75,6 @@ class GradientBoosting {
   void Boost(const std::vector<std::vector<float>>& rows,
              const std::vector<float>& targets, int num_trees);
 
-  float Predict(const std::vector<float>& row) const;
-
-  /// Predictions for many rows at once. With LCE_SIMD on (default) this bins
-  /// all rows into one contiguous matrix and runs the level-synchronous
-  /// FlatForest traversal in parallel row blocks; otherwise it falls back to
-  /// per-row Predict(). Both paths are bit-identical to calling Predict() on
-  /// each row (same per-row accumulation order) at any thread count.
-  std::vector<float> PredictBatch(
-      const std::vector<std::vector<float>>& rows) const;
-
   /// Traversal statistics of one Predict() call; fuels explain records.
   struct PredictStats {
     int trees = 0;
@@ -93,10 +83,18 @@ class GradientBoosting {
     int max_path_depth = 0;
   };
 
-  /// Predict() with per-tree path statistics. The accumulation mirrors
-  /// Predict() term by term, so the returned value is bit-identical.
-  float PredictWithStats(const std::vector<float>& row,
-                         PredictStats* stats) const;
+  /// The ensemble's prediction for `row`; `stats`, when non-null, receives
+  /// its per-tree path statistics without changing the prediction.
+  float Predict(const std::vector<float>& row,
+                PredictStats* stats = nullptr) const;
+
+  /// Predictions for many rows at once. With LCE_SIMD on (default) this bins
+  /// all rows into one contiguous matrix and runs the level-synchronous
+  /// FlatForest traversal in parallel row blocks; otherwise it falls back to
+  /// per-row Predict(). Both paths are bit-identical to calling Predict() on
+  /// each row (same per-row accumulation order) at any thread count.
+  std::vector<float> PredictBatch(
+      const std::vector<std::vector<float>>& rows) const;
 
   size_t num_trees() const { return trees_.size(); }
   uint64_t SizeBytes() const;

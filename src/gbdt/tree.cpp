@@ -183,19 +183,8 @@ int RegressionTree::BuildNode(const std::vector<std::vector<uint8_t>>& binned,
   return node_id;
 }
 
-float RegressionTree::Predict(const std::vector<uint8_t>& binned_row) const {
-  LCE_CHECK(!nodes_.empty());
-  int cur = 0;
-  while (!nodes_[cur].is_leaf) {
-    const TreeNode& node = nodes_[cur];
-    cur = binned_row[node.feature] <= node.bin_threshold ? node.left
-                                                         : node.right;
-  }
-  return nodes_[cur].value;
-}
-
-float RegressionTree::PredictWithDepth(const std::vector<uint8_t>& binned_row,
-                                       int* depth) const {
+float RegressionTree::Predict(const std::vector<uint8_t>& binned_row,
+                              int* depth) const {
   LCE_CHECK(!nodes_.empty());
   int cur = 0;
   int d = 0;
@@ -205,7 +194,7 @@ float RegressionTree::PredictWithDepth(const std::vector<uint8_t>& binned_row,
                                                          : node.right;
     ++d;
   }
-  *depth = d;
+  if (depth != nullptr) *depth = d;
   return nodes_[cur].value;
 }
 

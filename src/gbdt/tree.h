@@ -53,12 +53,10 @@ class RegressionTree {
            const std::vector<float>& targets, const Options& options,
            int max_bins);
 
-  float Predict(const std::vector<uint8_t>& binned_row) const;
-
-  /// Predict() plus the root-to-leaf path length in `*depth` (0 when the
-  /// tree is a single leaf). Same traversal, same leaf value.
-  float PredictWithDepth(const std::vector<uint8_t>& binned_row,
-                         int* depth) const;
+  /// The leaf value `binned_row` reaches; `depth`, when non-null, receives
+  /// the root-to-leaf path length (0 when the tree is a single leaf).
+  float Predict(const std::vector<uint8_t>& binned_row,
+                int* depth = nullptr) const;
 
   size_t num_nodes() const { return nodes_.size(); }
 

@@ -151,7 +151,7 @@ struct Buf {
     v = n >= 0 ? v * kPow10[n] : v / kPow10[-n];
     return static_cast<uint64_t>(v + 0.5);
   }
-  // <0 sentinel fields serialize as null ("unknown"), like ExplainRecord.
+  // <0 sentinel fields serialize as null ("unknown").
   void DblOrNull(double v) {
     if (v < 0) {
       Str("null");

@@ -1,12 +1,13 @@
 // Per-query stage decomposition for estimator inference paths.
 //
-// Every estimator's EstimateImpl/EstimateBatch constructs a StageTimer and
-// marks stage boundaries (encode/featurize -> forward/traverse ->
-// postprocess). Each closed stage feeds the
-// `ce.<model>.stage.<stage>.micros` histogram, whose handle is resolved once
-// per thread, and — when span recording is on — records a `stage/<stage>`
-// trace span nested under the enclosing span, so kernel spans (MatMul,
-// FlatForest::PredictBatch) fold under their stage in the profiler.
+// The estimator base's per-query entry points and every EstimateBatch
+// override construct a StageTimer; the estimate code marks stage boundaries
+// (encode/featurize -> forward/traverse -> postprocess). Each closed stage
+// feeds the `ce.<model>.stage.<stage>.micros` histogram, whose handle is
+// resolved once per thread, and — when span recording is on — records a
+// `stage/<stage>` trace span nested under the enclosing span, so kernel
+// spans (MatMul, FlatForest::PredictBatch) fold under their stage in the
+// profiler.
 //
 // The timer also records the whole timed window into
 // `ce.<model>.latency.micros`, so the lce_report stage breakdown can show

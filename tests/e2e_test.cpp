@@ -22,10 +22,13 @@ class OracleEstimator : public ce::Estimator {
     (void)training;
     return Status::OK();
   }
-  double EstimateCardinality(const query::Query& q) override {
+  uint64_t SizeBytes() const override { return 0; }
+
+ protected:
+  double EstimateImpl(const query::Query& q,
+                      ce::ExplainRecord*) const override {
     return std::max(1.0, executor_.Cardinality(q));
   }
-  uint64_t SizeBytes() const override { return 0; }
 
  private:
   exec::Executor executor_;
@@ -91,8 +94,13 @@ TEST_F(E2eTest, HostileEstimatorDegradesPlans) {
                  const std::vector<query::LabeledQuery>&) override {
       return Status::OK();
     }
-    double EstimateCardinality(const query::Query&) override { return 1000; }
     uint64_t SizeBytes() const override { return 0; }
+
+   protected:
+    double EstimateImpl(const query::Query&,
+                        ce::ExplainRecord*) const override {
+      return 1000;
+    }
   };
   ConstantEstimator constant;
   WorkloadPlanQuality agg = EvaluateWorkloadPlanQuality(

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/ce/data_driven/bayesnet.h"
+#include "src/ce/data_driven/naru.h"
 #include "src/ce/data_driven/spn.h"
 #include "src/ce/explain.h"
 #include "src/ce/factory.h"
@@ -19,8 +22,8 @@ namespace lce {
 namespace ce {
 namespace {
 
-// A minimal estimator with no diagnostics override: exercises the base-class
-// default, which must delegate to EstimateCardinality and fill the shape.
+// A minimal estimator that writes no diagnostics: exercises the base-class
+// entry point, which must fill the name, shape and estimate itself.
 class ConstantEstimator : public Estimator {
  public:
   std::string Name() const override { return "Constant"; }
@@ -28,9 +31,21 @@ class ConstantEstimator : public Estimator {
                const std::vector<query::LabeledQuery>&) override {
     return Status::OK();
   }
-  double EstimateCardinality(const query::Query&) override { return 42.0; }
   uint64_t SizeBytes() const override { return 0; }
+
+ protected:
+  double EstimateImpl(const query::Query&, ExplainRecord*) const override {
+    return 42.0;
+  }
 };
+
+// The value of counter `name` in `rec`, or null when the record lacks it.
+const double* FindCounter(const ExplainRecord& rec, const std::string& name) {
+  for (const auto& [k, v] : rec.counters) {
+    if (k == name) return &v;
+  }
+  return nullptr;
+}
 
 TEST(ExplainTest, DefaultDelegationFillsShapeAndEstimate) {
   ConstantEstimator est;
@@ -51,7 +66,10 @@ TEST(ExplainTest, DiagnosticsBitIdenticalAcrossZoo) {
   // For every estimator in the zoo, a twin built with the same seed must
   // produce bit-identical estimates through EstimateWithDiagnostics — the
   // diagnostics only read values the plain path already computes (and, for
-  // sampling-based models, consume no extra randomness).
+  // sampling-based models, consume no extra randomness). Each entry point
+  // call adds exactly one observation to the model's latency histogram: the
+  // base's timer is the only per-query timer.
+  telemetry::SetMetricsEnabledForTesting(1);
   auto db = storage::datagen::Generate(storage::datagen::ImdbLikeSpec(0.02), 3);
   workload::WorkloadGenerator gen(db.get(), {});
   Rng rng(4);
@@ -66,16 +84,66 @@ TEST(ExplainTest, DiagnosticsBitIdenticalAcrossZoo) {
     auto diag = MakeEstimator(name, neural, /*seed=*/9);
     ASSERT_TRUE(plain->Build(*db, train).ok()) << name;
     ASSERT_TRUE(diag->Build(*db, train).ok()) << name;
+    telemetry::Histogram& latency =
+        telemetry::MetricsRegistry::Global().histogram(
+            "ce." + diag->Name() + ".latency.micros");
     for (const auto& lq : test) {
+      uint64_t before = latency.Snapshot().count;
       double e1 = plain->EstimateCardinality(lq.q);
+      EXPECT_EQ(latency.Snapshot().count, before + 1) << name;
       ExplainRecord rec;
       double e2 = diag->EstimateWithDiagnostics(lq.q, &rec);
+      EXPECT_EQ(latency.Snapshot().count, before + 2) << name;
       EXPECT_EQ(e1, e2) << name;  // bit-identical, not just approximately
       EXPECT_EQ(rec.estimate, e2) << name;
       EXPECT_EQ(rec.estimator, diag->Name()) << name;
       EXPECT_EQ(rec.num_predicates,
                 static_cast<int>(lq.q.predicates.size()))
           << name;
+    }
+  }
+  telemetry::SetMetricsEnabledForTesting(-1);
+}
+
+TEST(ExplainTest, DataDrivenJoinCombinersExplainFanoutCorrection) {
+  // The per-table families under each join-combination option: plain and
+  // diagnosed estimates agree bit for bit, and every record carries the
+  // fanout correction factor, which the fanout option moves off 1.
+  auto db = storage::datagen::Generate(storage::datagen::ImdbLikeSpec(0.02), 3);
+  workload::WorkloadGenerator gen(db.get(), {});
+  Rng rng(4);
+  auto test = gen.GenerateLabeled(25, &rng);
+  for (bool fanout : {false, true}) {
+    NaruTableModel::Options naru;
+    SpnTableModel::Options spn;
+    BayesNetTableModel::Options bayes;
+    naru.use_edge_selectivity = spn.use_edge_selectivity =
+        bayes.use_edge_selectivity = !fanout;
+    naru.use_fanout_correction = spn.use_fanout_correction =
+        bayes.use_fanout_correction = fanout;
+    std::vector<std::unique_ptr<Estimator>> zoo;
+    zoo.push_back(std::make_unique<NaruEstimator>(naru));
+    zoo.push_back(std::make_unique<SpnEstimator>(spn));
+    zoo.push_back(std::make_unique<BayesNetEstimator>(bayes));
+    for (const auto& est : zoo) {
+      ASSERT_TRUE(est->Build(*db, {}).ok()) << est->Name();
+      int corrected = 0;
+      for (const auto& lq : test) {
+        double plain = est->EstimateCardinality(lq.q);
+        ExplainRecord rec;
+        double diag = est->EstimateWithDiagnostics(lq.q, &rec);
+        EXPECT_EQ(plain, diag) << est->Name();
+        EXPECT_TRUE(std::isfinite(plain)) << est->Name();
+        EXPECT_GE(plain, 1.0) << est->Name();
+        const double* factor = FindCounter(rec, "fanout_correction");
+        ASSERT_NE(factor, nullptr) << est->Name();
+        if (*factor != 1.0) ++corrected;
+      }
+      if (fanout) {
+        EXPECT_GT(corrected, 0) << est->Name();
+      } else {
+        EXPECT_EQ(corrected, 0) << est->Name();
+      }
     }
   }
 }
@@ -178,22 +246,16 @@ TEST(ExplainTest, ModelCountersPerFamily) {
   neural.hidden_dim = 16;
   neural.epochs = 3;
 
-  auto has_counter = [](const ExplainRecord& rec, const std::string& name) {
-    for (const auto& [k, v] : rec.counters) {
-      if (k == name) return true;
-    }
-    return false;
-  };
-
   struct Expectation {
     const char* estimator;
     const char* counter;
   };
   const std::vector<Expectation> expectations = {
-      {"LW-XGB", "max_path_depth"},   // GBDT tree-path depth
-      {"FCN", "feat_l2"},             // featurization stats
-      {"DeepDB-SPN", "leaf_visits"},  // SPN node visits
-      {"Naru", "sampling_budget"},    // progressive-sampling budget
+      {"LW-XGB", "max_path_depth"},       // GBDT tree-path depth
+      {"FCN", "feat_l2"},                 // featurization stats
+      {"DeepDB-SPN", "leaf_visits"},      // SPN node visits
+      {"Naru", "sampling_budget"},        // progressive-sampling budget
+      {"BayesNet", "modeled_predicates"},  // predicates the network covers
       {"Sampling", "sample_matches"},
   };
   for (const Expectation& e : expectations) {
@@ -201,7 +263,7 @@ TEST(ExplainTest, ModelCountersPerFamily) {
     ASSERT_TRUE(est->Build(*db, train).ok()) << e.estimator;
     ExplainRecord rec;
     est->EstimateWithDiagnostics(test[0].q, &rec);
-    EXPECT_TRUE(has_counter(rec, e.counter))
+    EXPECT_NE(FindCounter(rec, e.counter), nullptr)
         << e.estimator << " missing counter " << e.counter;
   }
 }

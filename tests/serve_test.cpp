@@ -42,8 +42,12 @@ class ConstEstimator : public ce::Estimator {
                const std::vector<query::LabeledQuery>&) override {
     return Status::OK();
   }
-  double EstimateCardinality(const query::Query&) override { return value_; }
   uint64_t SizeBytes() const override { return sizeof(double); }
+
+ protected:
+  double EstimateImpl(const query::Query&, ce::ExplainRecord*) const override {
+    return value_;
+  }
 
  private:
   double value_;
@@ -55,16 +59,6 @@ class ConstEstimator : public ce::Estimator {
 class LatchedEstimator : public ConstEstimator {
  public:
   using ConstEstimator::ConstEstimator;
-  double EstimateCardinality(const query::Query& q) override {
-    std::unique_lock<std::mutex> lock(mu_);
-    entered_ = true;
-    cv_.notify_all();
-    if (!cv_.wait_for(lock, std::chrono::seconds(10),
-                      [&] { return released_; })) {
-      return 0;
-    }
-    return ConstEstimator::EstimateCardinality(q);
-  }
   void AwaitEntered() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] { return entered_; });
@@ -75,10 +69,24 @@ class LatchedEstimator : public ConstEstimator {
     cv_.notify_all();
   }
 
+ protected:
+  double EstimateImpl(const query::Query& q,
+                      ce::ExplainRecord* rec) const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    if (!cv_.wait_for(lock, std::chrono::seconds(10),
+                      [&] { return released_; })) {
+      return 0;
+    }
+    return ConstEstimator::EstimateImpl(q, rec);
+  }
+
  private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool entered_ = false;
+  // A test latch, not model state: the const estimate signals through it.
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool entered_ = false;
   bool released_ = false;
 };
 

@@ -123,8 +123,7 @@ std::string DescribeQuery(const JsonValue& rec) {
   return q;
 }
 
-void RenderOffending(const Bundle& b, const JsonValue& rec, bool from_ring,
-                     std::string* out) {
+void RenderOffending(const JsonValue& rec, bool from_ring, std::string* out) {
   *out += "## Offending query\n\n";
   if (from_ring) {
     *out +=
@@ -369,7 +368,7 @@ std::string Render(const Bundle& b, int context) {
     }
   }
   if (shown != nullptr) {
-    RenderOffending(b, *shown, from_ring, &md);
+    RenderOffending(*shown, from_ring, &md);
     RenderStages(b, *shown, &md);
     RenderNeighbors(b, GetNumberOr(*shown, "seq", -1), context, &md);
   } else {
