@@ -22,7 +22,6 @@
 #include "src/util/parallel.h"
 #include "src/util/table_printer.h"
 #include "src/util/telemetry/memory.h"
-#include "src/util/telemetry/metrics_snapshot.h"
 #include "src/util/telemetry/model_card.h"
 #include "src/util/telemetry/run_manifest.h"
 #include "src/util/telemetry/telemetry.h"
@@ -178,9 +177,8 @@ inline EstimatorRun RunEstimator(const std::string& name, const BenchDb& bench,
 }
 
 /// RAII per-binary harness: times the whole run and, on destruction, writes
-/// BenchOutDir()/BENCH_manifest_<name>.json and the LCE_METRICS_SNAPSHOT
-/// file (if enabled). The trace, profile, query log and training log are
-/// written by their own exit hooks.
+/// BenchOutDir()/BENCH_manifest_<name>.json. The trace, profile, query log
+/// and training log are written by their own exit hooks.
 class BenchRun {
  public:
   explicit BenchRun(std::string name) : name_(std::move(name)) {
@@ -193,7 +191,6 @@ class BenchRun {
     telemetry::WriteRunManifest(
         BenchOutPath("BENCH_manifest_" + name_ + ".json"), name_,
         timer_.ElapsedSeconds());
-    telemetry::WriteMetricsSnapshotIfEnabled();
   }
   BenchRun(const BenchRun&) = delete;
   BenchRun& operator=(const BenchRun&) = delete;

@@ -36,20 +36,6 @@ void RecordEpochTelemetry(int epoch, double loss, telemetry::TraceSpan* span) {
   span->AddArg("loss", loss);
 }
 
-// Featurization stats of the query's flat encoding (feat_dim /
-// feat_nonzeros / feat_l2) for EstimateWithDiagnostics.
-void AddFeatureStats(const std::vector<float>& feat, ExplainRecord* rec) {
-  double l2 = 0;
-  int nonzeros = 0;
-  for (float f : feat) {
-    l2 += static_cast<double>(f) * f;
-    if (f != 0.0f) ++nonzeros;
-  }
-  rec->AddCounter("feat_dim", static_cast<double>(feat.size()));
-  rec->AddCounter("feat_nonzeros", static_cast<double>(nonzeros));
-  rec->AddCounter("feat_l2", std::sqrt(l2));
-}
-
 }  // namespace
 
 Status NeuralQueryDrivenEstimator::Prepare(const storage::Database& db) {
@@ -230,22 +216,11 @@ double NeuralQueryDrivenEstimator::RunEpoch(
           for (int64_t r = r0; r < r1; ++r) {
             const int i = static_cast<int>(r - r0);
             const query::LabeledQuery& lq = queries[(*order)[start + r]];
-            float target = encoder_->NormalizeLog(lq.cardinality);
-            float diff = pred.At(i, 0) - target;
-            double& term = ctx->loss_terms[static_cast<size_t>(r)];
-            switch (options_.loss) {
-              case nn::LossKind::kMse:
-                term = static_cast<double>(diff) * diff;
-                ws->dpred.At(i, 0) = 2.0f * diff / static_cast<float>(b);
-                break;
-              case nn::LossKind::kLogQ:
-              default:
-                term = std::abs(static_cast<double>(diff));
-                ws->dpred.At(i, 0) =
-                    (diff > 0 ? 1.0f : (diff < 0 ? -1.0f : 0.0f)) /
-                    static_cast<float>(b);
-                break;
-            }
+            const nn::RowLoss loss = nn::ComputeRowLoss(
+                options_.loss, pred.At(i, 0),
+                encoder_->NormalizeLog(lq.cardinality), b);
+            ctx->loss_terms[static_cast<size_t>(r)] = loss.term;
+            ws->dpred.At(i, 0) = loss.grad;
           }
           BackwardChain(ws);
         });
@@ -306,7 +281,6 @@ double NeuralQueryDrivenEstimator::EstimateImpl(const query::Query& q,
                                  "learned"});
     }
     rec->AddCounter("pred_normalized", static_cast<double>(y));
-    AddFeatureStats(encoder_->FlatEncode(q, options_.flat_variant), rec);
     if (y != clamped) {
       rec->AddFallback("nn.output_clamped",
                        "sigmoid output " + std::to_string(y) +

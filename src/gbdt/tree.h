@@ -23,8 +23,6 @@ class FeatureBinner {
 
   int num_features() const { return static_cast<int>(edges_.size()); }
   int max_bins() const { return max_bins_; }
-  /// Upper edge of `bin` for `feature` (split threshold reconstruction).
-  float BinUpperEdge(int feature, int bin) const { return edges_[feature][bin]; }
 
  private:
   int max_bins_ = 0;

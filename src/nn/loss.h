@@ -9,24 +9,35 @@
 #ifndef LCE_NN_LOSS_H_
 #define LCE_NN_LOSS_H_
 
-#include <vector>
-
-#include "src/nn/matrix.h"
+#include <cmath>
 
 namespace lce {
 namespace nn {
 
 enum class LossKind { kMse, kLogQ };
 
-/// Mean loss over a batch and the gradient dL/dpred (same shape as pred,
-/// which must be B x 1). `targets` holds the B log-cardinality labels.
-struct LossResult {
-  double loss = 0;
-  Matrix grad;
+/// One row's loss term and its dL/dpred inside a minibatch of `batch` rows,
+/// whose loss is the mean of the rows' terms.
+struct RowLoss {
+  double term = 0;
+  float grad = 0;
 };
 
-LossResult ComputeLoss(LossKind kind, const Matrix& pred,
-                       const std::vector<float>& targets);
+/// Training and the gradient checks both call this one formula, so the
+/// checks verify the rounding training runs: the gradient divides by the
+/// batch size last.
+inline RowLoss ComputeRowLoss(LossKind kind, float pred, float target,
+                              int batch) {
+  const float diff = pred - target;
+  if (kind == LossKind::kMse) {
+    return {static_cast<double>(diff) * diff,
+            2.0f * diff / static_cast<float>(batch)};
+  }
+  // Log-Q; subgradient 0 at the kink.
+  return {std::abs(static_cast<double>(diff)),
+          (diff > 0 ? 1.0f : (diff < 0 ? -1.0f : 0.0f)) /
+              static_cast<float>(batch)};
+}
 
 }  // namespace nn
 }  // namespace lce

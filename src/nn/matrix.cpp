@@ -28,6 +28,7 @@
 
 #include "src/nn/activation.h"
 #include "src/util/parallel.h"
+#include "src/util/status.h"
 #include "src/util/telemetry/trace.h"
 
 #define LCE_RESTRICT __restrict__
@@ -556,19 +557,6 @@ void Matrix::Add(const Matrix& other) {
   for (int64_t i = 0; i < n; ++i) dst[i] += src[i];
 }
 
-void Matrix::Scale(float s) {
-  // Padding stays zero under scaling (0 * s == 0 for finite s).
-  float* LCE_RESTRICT dst = data_.data();
-  const int64_t n = static_cast<int64_t>(data_.size());
-#pragma omp simd
-  for (int64_t i = 0; i < n; ++i) dst[i] *= s;
-}
-
-Result<Matrix> TryMatMul(const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.rows()) return ShapeError("MatMul", a, b);
-  return MatMulImpl(a, b, nullptr, Activation::kIdentity);
-}
-
 Matrix MatMul(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.rows()) LCE_CHECK_OK(ShapeError("MatMul", a, b));
   // Kernel span: with LCE_PROFILE on, the collapsed-stack hot paths name the
@@ -660,11 +648,6 @@ void MatMulTransAAccumulateGatheredRows(std::span<const float* const> a_rows,
   }
 }
 
-Result<Matrix> TryMatMulTransA(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows()) return ShapeError("MatMulTransA", a, b);
-  return MatMulTransAImpl(a, b);
-}
-
 Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
   if (a.rows() != b.rows()) LCE_CHECK_OK(ShapeError("MatMulTransA", a, b));
   telemetry::KernelSpan span(
@@ -679,11 +662,6 @@ void MatMulTransAAccumulate(const Matrix& a, const Matrix& b, Matrix* c,
   telemetry::KernelSpan span(
       "MatMulTransA", int64_t{a.cols()} * a.rows() * b.cols());
   MatMulTransAAccumulateImpl(a, b, segments, c);
-}
-
-Result<Matrix> TryMatMulTransB(const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.cols()) return ShapeError("MatMulTransB", a, b);
-  return MatMulTransBImpl(a, b);
 }
 
 Matrix MatMulTransB(const Matrix& a, const Matrix& b) {

@@ -7,7 +7,7 @@
 // handling across rows. The padding floats between cols() and ld() are an
 // invariant zero: constructors zero them and every kernel writes only the
 // logical region, so flat checksums over RowPtr(r)[0..cols) are stable and
-// Add/Scale over whole padded rows cannot leak garbage.
+// Add over whole padded rows cannot leak garbage.
 //
 // The multiply kernels dispatch on lce::simd::SimdEnabled() (LCE_SIMD,
 // default on) between a blocked/vectorized path and the naive reference
@@ -28,7 +28,6 @@
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 #include "src/util/simd.h"
-#include "src/util/status.h"
 
 namespace lce {
 namespace nn {
@@ -177,10 +176,9 @@ class Matrix {
     for (int c = 0; c < cols_; ++c) row[c] = 0.0f;
   }
 
-  /// In-place element-wise operations (vectorized over padded rows; the
-  /// all-zero padding is add/scale-invariant, so the invariant holds).
+  /// In-place element-wise add (vectorized over padded rows; zero padding
+  /// plus zero padding keeps the invariant).
   void Add(const Matrix& other);
-  void Scale(float s);
 
   /// One row as a copy.
   std::vector<float> RowVector(int r) const {
@@ -205,14 +203,11 @@ class Matrix {
   AlignedFloats data_;
 };
 
-/// C = A * B. The abort-on-mismatch forms are for internally-guaranteed
-/// shapes (layer wiring); the Try* forms return InvalidArgument with the
-/// same diagnostic for callers that can recover.
+/// C = A * B. A shape mismatch aborts with a diagnostic: every caller's
+/// shapes are fixed by the layer wiring.
 Matrix MatMul(const Matrix& a, const Matrix& b);
-Result<Matrix> TryMatMul(const Matrix& a, const Matrix& b);
 /// C = A^T * B.
 Matrix MatMulTransA(const Matrix& a, const Matrix& b);
-Result<Matrix> TryMatMulTransA(const Matrix& a, const Matrix& b);
 /// C += A^T * B: the weight-gradient kernel of batched training. Each
 /// element of C adds its k-terms a(k,i) * b(k,j) in ascending k, directly
 /// into C — the sums a run of one-row MatMulTransA + Add calls, one per row
@@ -224,7 +219,6 @@ void MatMulTransAAccumulate(const Matrix& a, const Matrix& b, Matrix* c,
                             const std::vector<int>* segments = nullptr);
 /// C = A * B^T.
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
-Result<Matrix> TryMatMulTransB(const Matrix& a, const Matrix& b);
 
 /// In-place forms: each writes its result into *c, reshaped with
 /// Matrix::Resize, so an output reserved by its owner never allocates. `c`

@@ -57,11 +57,5 @@ Status LoadParams(const std::vector<Param*>& params, std::istream* is) {
   return Status::OK();
 }
 
-size_t ParamBytes(const std::vector<Param*>& params) {
-  size_t bytes = 0;
-  for (const Param* p : params) bytes += p->NumElements() * sizeof(float);
-  return bytes;
-}
-
 }  // namespace nn
 }  // namespace lce

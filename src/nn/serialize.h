@@ -23,10 +23,6 @@ void SaveParams(const std::vector<Param*>& params, std::ostream* os);
 /// truncated stream or a non-finite value, and then changes no parameter.
 Status LoadParams(const std::vector<Param*>& params, std::istream* is);
 
-/// Total parameter footprint in bytes (float32 values only), the model-size
-/// figure reported by experiment R2.
-size_t ParamBytes(const std::vector<Param*>& params);
-
 }  // namespace nn
 }  // namespace lce
 

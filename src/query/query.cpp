@@ -128,16 +128,5 @@ uint64_t Fingerprint(const Query& q) {
   return h;
 }
 
-std::string JoinTemplateKey(const Query& q) {
-  std::vector<int> edges = q.join_edges;
-  std::sort(edges.begin(), edges.end());
-  std::ostringstream oss;
-  oss << "t";
-  for (int t : q.tables) oss << "_" << t;
-  oss << ":j";
-  for (int e : edges) oss << "_" << e;
-  return oss.str();
-}
-
 }  // namespace query
 }  // namespace lce

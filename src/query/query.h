@@ -72,10 +72,6 @@ Status Validate(const Query& q, const storage::Database& db);
 /// function of (build, query).
 uint64_t Fingerprint(const Query& q);
 
-/// A canonical string key for the query's join template (sorted edge ids),
-/// used by the generalization experiment (R8) to split seen/unseen templates.
-std::string JoinTemplateKey(const Query& q);
-
 /// The query restricted to a subset of its tables: keeps the predicates on
 /// those tables and the induced join edges. `tables` must be a connected
 /// subset of q.tables (as produced by the planner).

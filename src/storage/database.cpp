@@ -55,18 +55,6 @@ void Database::FinalizeAll() {
   for (auto& t : tables_) t->Finalize();
 }
 
-std::vector<int> Database::IncidentJoins(int table_index) const {
-  std::vector<int> out;
-  const std::string& name = schema_.tables[table_index].name;
-  for (size_t j = 0; j < schema_.joins.size(); ++j) {
-    if (schema_.joins[j].left_table == name ||
-        schema_.joins[j].right_table == name) {
-      out.push_back(static_cast<int>(j));
-    }
-  }
-  return out;
-}
-
 int Database::JoinBetween(int table_a, int table_b) const {
   const std::string& a = schema_.tables[table_a].name;
   const std::string& b = schema_.tables[table_b].name;

@@ -38,9 +38,6 @@ class Database {
   /// Finalizes all tables (recomputes statistics).
   void FinalizeAll();
 
-  /// Join edges incident to `table_index` (as indexes into schema().joins).
-  std::vector<int> IncidentJoins(int table_index) const;
-
   /// The join edge connecting two tables, or -1 if they are not adjacent.
   int JoinBetween(int table_a, int table_b) const;
 

@@ -1,8 +1,8 @@
 // Core value and statistics types of the storage engine.
 //
-// Following the study's setup ("string-type attributes are encoded into
-// numeric types using dictionaries"), every stored value is an int64. String
-// columns pass through storage::Dictionary at load time.
+// Every stored value is an int64. The study encodes string attributes as
+// integers with dictionaries; the generated databases (storage::datagen) are
+// integer-valued from the start, so nothing here loads strings.
 
 #ifndef LCE_STORAGE_TYPES_H_
 #define LCE_STORAGE_TYPES_H_

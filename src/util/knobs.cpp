@@ -39,8 +39,6 @@ constexpr Spec kSpecs[kNumKnobs] = {
     {.id = kFrDrift, .name = "LCE_FR_DRIFT", .type = Type::kBool},
     {.id = kFrSignal, .name = "LCE_FR_SIGNAL", .type = Type::kBool},
     {.id = kFrDir, .name = "LCE_FR_DIR", .type = Type::kString},
-    {.id = kMetricsSnapshot, .name = "LCE_METRICS_SNAPSHOT",
-     .type = Type::kString},
     {.id = kOracleIndex, .name = "LCE_ORACLE_INDEX", .type = Type::kBool,
      .def = 1},
     {.id = kSimd, .name = "LCE_SIMD", .type = Type::kBool, .def = 1},

@@ -56,7 +56,6 @@ enum Id : int {
   kFrDrift,
   kFrSignal,
   kFrDir,
-  kMetricsSnapshot,
   kOracleIndex,
   kSimd,
   kLogLevel,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "src/util/logging.h"
 
@@ -115,14 +114,6 @@ double PearsonCorrelation(const std::vector<double>& x,
   }
   if (sxx <= 0 || syy <= 0) return 0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-std::string SummaryToString(const SampleSummary& s) {
-  std::ostringstream oss;
-  oss << "n=" << s.count << " mean=" << s.mean << " p50=" << s.p50
-      << " p90=" << s.p90 << " p95=" << s.p95 << " p99=" << s.p99
-      << " max=" << s.max;
-  return oss.str();
 }
 
 }  // namespace lce

@@ -4,7 +4,6 @@
 #define LCE_UTIL_STATS_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace lce {
@@ -47,9 +46,6 @@ double JensenShannonDivergence(const std::vector<double>& p,
 /// Pearson correlation coefficient of two equal-length samples.
 double PearsonCorrelation(const std::vector<double>& x,
                           const std::vector<double>& y);
-
-/// Renders a summary as "mean=… p50=… p95=… p99=… max=…" for logs.
-std::string SummaryToString(const SampleSummary& s);
 
 }  // namespace lce
 

@@ -138,16 +138,6 @@ DriftMonitor& GlobalDriftMonitor(const std::string& name) {
   return *it->second;
 }
 
-std::vector<DriftAlert> DrainAllDriftAlerts() {
-  MonitorRegistry& reg = Monitors();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  std::vector<DriftAlert> out;
-  for (auto& [name, monitor] : reg.monitors) {
-    for (DriftAlert& a : monitor->DrainAlerts()) out.push_back(std::move(a));
-  }
-  return out;
-}
-
 std::vector<DriftAlert> AllDriftAlertHistory() {
   MonitorRegistry& reg = Monitors();
   std::lock_guard<std::mutex> lock(reg.mu);

@@ -119,9 +119,6 @@ void SetDriftWindowForTesting(int window);
 /// on first use with the env-derived options. Valid for process lifetime.
 DriftMonitor& GlobalDriftMonitor(const std::string& name);
 
-/// Drains alerts from every global monitor, oldest first per monitor.
-std::vector<DriftAlert> DrainAllDriftAlerts();
-
 /// Non-draining alert history of every global monitor, oldest first per
 /// monitor (run manifests, lce_report).
 std::vector<DriftAlert> AllDriftAlertHistory();

@@ -132,7 +132,5 @@ Status WriteProfileNow() {
   return Status::OK();
 }
 
-void WriteProfileIfEnabled() { (void)WriteProfileNow(); }
-
 }  // namespace telemetry
 }  // namespace lce

@@ -4,8 +4,8 @@
 //
 // Setting LCE_PROFILE enables span recording even when LCE_TRACE is unset
 // (see SpanRecordingEnabled() in trace.h): every TraceSpan / ScopedPhase /
-// stage span is collected, and WriteProfileIfEnabled() — called at process
-// exit — walks each span's parent chain (span ids propagate across threads
+// stage span is collected, and WriteProfileNow() — called at process exit —
+// walks each span's parent chain (span ids propagate across threads
 // through ThreadPool::Submit, so pool work folds under the submitting span)
 // and aggregates by name path:
 //
@@ -73,7 +73,6 @@ std::vector<ProfileNode> SnapshotProfileForTesting();
 /// off or the file was written; errors are logged and counted in
 /// `telemetry.export_failures`.
 Status WriteProfileNow();
-void WriteProfileIfEnabled();
 
 }  // namespace telemetry
 }  // namespace lce

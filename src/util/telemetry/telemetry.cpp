@@ -218,28 +218,6 @@ std::vector<std::pair<std::string, uint64_t>> MetricsRegistry::CounterValues()
   return out;
 }
 
-std::vector<std::pair<std::string, double>> MetricsRegistry::GaugeValues()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) {
-    out.emplace_back(name, g->Value());
-  }
-  return out;
-}
-
-std::vector<std::pair<std::string, HistogramSnapshot>>
-MetricsRegistry::HistogramSnapshots() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, HistogramSnapshot>> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    out.emplace_back(name, h->Snapshot());
-  }
-  return out;
-}
-
 void MetricsRegistry::ResetForTesting() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) {

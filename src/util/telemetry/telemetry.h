@@ -167,13 +167,6 @@ class MetricsRegistry {
   /// Sorted name -> value snapshot of all counters (tests, manifests).
   std::vector<std::pair<std::string, uint64_t>> CounterValues() const;
 
-  /// Sorted name -> value snapshot of all gauges (exporters).
-  std::vector<std::pair<std::string, double>> GaugeValues() const;
-
-  /// Sorted name -> snapshot of all histograms (exporters).
-  std::vector<std::pair<std::string, HistogramSnapshot>> HistogramSnapshots()
-      const;
-
   /// Zeroes every counter, gauge, and histogram; handles stay valid.
   void ResetForTesting();
 

@@ -67,8 +67,8 @@ TraceState& State() {
     // A process that records spans writes its trace and profile at exit,
     // even if it never constructs a BenchRun (examples, tools).
     std::atexit([] {
-      WriteTraceIfEnabled();
-      WriteProfileIfEnabled();
+      (void)WriteTraceNow();
+      (void)WriteProfileNow();
     });
     return new TraceState();
   }();
@@ -206,8 +206,6 @@ std::vector<TraceEvent> CollectEvents() {
 }
 
 }  // namespace
-
-void WriteTraceIfEnabled() { (void)WriteTraceNow(); }
 
 Status WriteTraceNow() {
   std::string path = TracePath();

@@ -5,8 +5,8 @@
 // ("ph":"X") with wall-clock start, duration, and the recording thread's id
 // into a per-thread buffer (one uncontended mutex acquisition per span; the
 // buffer grows 4096 spans at a time and never moves what it holds).
-// WriteTraceIfEnabled() — called once, automatically, at process exit —
-// merges the buffers and writes a JSON file loadable by chrome://tracing or
+// WriteTraceNow() — called once, automatically, at process exit — merges
+// the buffers and writes a JSON file loadable by chrome://tracing or
 // https://ui.perfetto.dev.
 //
 // Spans carry ids: each live TraceSpan pushes its id as the thread's
@@ -132,14 +132,11 @@ class KernelSpan {
 };
 
 /// Flushes all buffered events to TracePath() as Chrome trace-event JSON.
-/// No-op when tracing is off. Safe to call more than once (rewrites the
-/// file with everything recorded so far).
-void WriteTraceIfEnabled();
-
-/// WriteTraceIfEnabled with error reporting: OK when tracing is off or the
-/// file was written; otherwise the write error (also logged, with the path,
-/// and counted in the `telemetry.export_failures` metric). Parent
-/// directories are created as needed.
+/// Safe to call more than once (rewrites the file with everything recorded
+/// so far). OK when tracing is off or the file was written; otherwise the
+/// write error (also logged, with the path, and counted in the
+/// `telemetry.export_failures` metric). Parent directories are created as
+/// needed.
 Status WriteTraceNow();
 
 /// All events recorded so far (tests). Pair with ClearTraceForTesting.

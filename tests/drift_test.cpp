@@ -170,7 +170,7 @@ TEST(DriftEnvTest, WindowOverrideControlsGlobalMonitors) {
   DriftMonitor& mon = GlobalDriftMonitor("Histogram");
   EXPECT_EQ(mon.options().window, 16u);
   for (int i = 0; i < 20; ++i) mon.Observe(100.0);
-  std::vector<DriftAlert> alerts = DrainAllDriftAlerts();
+  std::vector<DriftAlert> alerts = AllDriftAlertHistory();
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].monitor, "Histogram");
 

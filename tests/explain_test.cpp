@@ -252,7 +252,7 @@ TEST(ExplainTest, ModelCountersPerFamily) {
   };
   const std::vector<Expectation> expectations = {
       {"LW-XGB", "max_path_depth"},       // GBDT tree-path depth
-      {"FCN", "feat_l2"},                 // featurization stats
+      {"FCN", "pred_normalized"},         // network output before denormalizing
       {"DeepDB-SPN", "leaf_visits"},      // SPN node visits
       {"Naru", "sampling_budget"},        // progressive-sampling budget
       {"BayesNet", "modeled_predicates"},  // predicates the network covers

@@ -12,7 +12,6 @@
 #include "src/util/json_writer.h"
 #include "src/util/parallel.h"
 #include "src/util/simd.h"
-#include "src/util/telemetry/metrics_snapshot.h"
 #include "src/util/telemetry/run_manifest.h"
 
 namespace lce {
@@ -76,22 +75,21 @@ TEST(KnobsTest, ManifestConfigReportsTheOverrideInEffect) {
   for (int on : {0, 1}) {
     simd::SetSimdEnabledForTesting(on);
     parallel::SetThreadCountForTesting(on + 2);
-    telemetry::SetMetricsSnapshotPathForTesting(on ? "snap.txt" : "");
+    OverrideText(kFrDir, on ? "fr_dir" : "");
     json::JsonValue config = ManifestConfig();
     ASSERT_EQ(config.kind, json::JsonValue::Kind::kObject);
     EXPECT_EQ(config.Find("LCE_SIMD")->Find("value")->boolean, on == 1);
     EXPECT_EQ(config.Find("LCE_THREADS")->Find("value")->number, on + 2);
-    const json::JsonValue* snapshot =
-        config.Find("LCE_METRICS_SNAPSHOT")->Find("value");
+    const json::JsonValue* fr_dir = config.Find("LCE_FR_DIR")->Find("value");
     if (on) {
-      EXPECT_EQ(snapshot->string, "snap.txt");
+      EXPECT_EQ(fr_dir->string, "fr_dir");
     } else {
-      EXPECT_EQ(snapshot->kind, json::JsonValue::Kind::kNull);
+      EXPECT_EQ(fr_dir->kind, json::JsonValue::Kind::kNull);
     }
   }
   simd::SetSimdEnabledForTesting(-1);
   parallel::SetThreadCountForTesting(0);
-  telemetry::SetMetricsSnapshotPathForTesting(nullptr);
+  OverrideText(kFrDir, nullptr);
 
   // Every knob, in table order, each with whether the environment set it.
   json::JsonValue config = ManifestConfig();

@@ -93,39 +93,6 @@ TEST(MatrixTest, ResizeKeepsLeadingRowsAndReservedBuffer) {
   EXPECT_EQ(m.raw(), buffer);
 }
 
-TEST(MatrixTest, TryMatMulVariantsRejectShapeMismatch) {
-  Matrix a = Fill(2, 3, {1, 2, 3, 4, 5, 6});
-  Matrix bad(2, 2);
-
-  Result<Matrix> mm = TryMatMul(a, bad);  // needs b.rows == 3
-  ASSERT_FALSE(mm.ok());
-  EXPECT_EQ(mm.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(mm.status().message().find("MatMul"), std::string::npos);
-  EXPECT_NE(mm.status().message().find("2x3"), std::string::npos);
-
-  Matrix three_rows(3, 2);
-  Result<Matrix> ta = TryMatMulTransA(a, three_rows);  // needs b.rows == 2
-  ASSERT_FALSE(ta.ok());
-  EXPECT_EQ(ta.status().code(), StatusCode::kInvalidArgument);
-
-  Result<Matrix> tb = TryMatMulTransB(a, bad);  // needs b.cols == 3
-  ASSERT_FALSE(tb.ok());
-  EXPECT_EQ(tb.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(MatrixTest, TryMatMulMatchesAbortingVariantOnValidShapes) {
-  Matrix a = Fill(2, 3, {1, 2, 3, 4, 5, 6});
-  Matrix b = Fill(3, 2, {7, 8, 9, 10, 11, 12});
-  Result<Matrix> c = TryMatMul(a, b);
-  ASSERT_TRUE(c.ok());
-  Matrix expected = MatMul(a, b);
-  for (int i = 0; i < 2; ++i) {
-    for (int j = 0; j < 2; ++j) {
-      EXPECT_FLOAT_EQ(c.value().At(i, j), expected.At(i, j));
-    }
-  }
-}
-
 TEST(MatrixTest, MatMulShapeMismatchAborts) {
   Matrix a(2, 3);
   Matrix bad(2, 2);

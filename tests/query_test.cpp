@@ -83,19 +83,6 @@ TEST_F(QueryTest, ValidateRejectsPredicateOnUnusedTable) {
   EXPECT_FALSE(Validate(q, *db_).ok());
 }
 
-TEST_F(QueryTest, JoinTemplateKeyIsOrderInsensitive) {
-  Query a;
-  a.tables = {0, 1, 2};
-  a.join_edges = {0, 1};
-  Query b = a;
-  std::swap(b.join_edges[0], b.join_edges[1]);
-  EXPECT_EQ(JoinTemplateKey(a), JoinTemplateKey(b));
-  Query c = a;
-  c.tables = {0, 1, 3};
-  c.join_edges = {0, 2};
-  EXPECT_NE(JoinTemplateKey(a), JoinTemplateKey(c));
-}
-
 TEST_F(QueryTest, RestrictKeepsInducedStructure) {
   Query q;
   q.tables = {0, 1, 2};

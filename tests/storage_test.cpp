@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "src/storage/database.h"
-#include "src/storage/dictionary.h"
 #include "src/storage/table.h"
 
 namespace lce {
@@ -69,7 +68,6 @@ TEST(DatabaseTest, JoinNavigation) {
   EXPECT_EQ(db.JoinBetween(0, 1), 0);
   EXPECT_EQ(db.JoinBetween(1, 2), 1);
   EXPECT_EQ(db.JoinBetween(0, 2), -1);
-  EXPECT_EQ(db.IncidentJoins(1), (std::vector<int>{0, 1}));
 }
 
 TEST(DatabaseTest, ConnectivityOnChain) {
@@ -96,29 +94,6 @@ TEST(DatabaseSchemaTest, GlobalColumnIndex) {
   EXPECT_EQ(s.GlobalColumnIndex("c", "cv"), 5);
   EXPECT_EQ(s.GlobalColumnIndex("c", "nope"), -1);
   EXPECT_EQ(s.GlobalColumnIndex("nope", "cv"), -1);
-}
-
-TEST(DictionaryTest, EncodeDecodeRoundTrip) {
-  Dictionary dict;
-  Value a = dict.Encode("drama");
-  Value b = dict.Encode("comedy");
-  Value a2 = dict.Encode("drama");
-  EXPECT_EQ(a, a2);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(dict.size(), 2u);
-  ASSERT_TRUE(dict.Decode(b).ok());
-  EXPECT_EQ(dict.Decode(b).value(), "comedy");
-  EXPECT_FALSE(dict.Decode(99).ok());
-  ASSERT_TRUE(dict.Lookup("drama").ok());
-  EXPECT_EQ(dict.Lookup("drama").value(), a);
-  EXPECT_FALSE(dict.Lookup("horror").ok());
-}
-
-TEST(DictionaryTest, IdsAreDense) {
-  Dictionary dict;
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(dict.Encode("s" + std::to_string(i)), i);
-  }
 }
 
 }  // namespace

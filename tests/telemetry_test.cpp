@@ -240,7 +240,7 @@ TEST_F(TelemetryTest, TraceExportIsParseableChromeJson) {
     TraceSpan span(std::string("tricky \"name\"\\with\nescapes"));
     span.AddArg("x", 1.5);
   }
-  WriteTraceIfEnabled();
+  ASSERT_TRUE(WriteTraceNow().ok());
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -375,7 +375,7 @@ TEST_F(TelemetryTest, TraceExportEmitsFlowEventsForCrossThreadEdges) {
       }
     });
   }
-  WriteTraceIfEnabled();
+  ASSERT_TRUE(WriteTraceNow().ok());
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
